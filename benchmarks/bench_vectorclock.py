@@ -1,6 +1,6 @@
 """Microbenchmark for the vector-clock hot paths.
 
-The sharded-pipeline PR tightened three inner loops:
+Three inner loops are tightened:
 
 * ``join`` takes a fused no-extend loop when both clocks already store
   the same number of components — the steady state once every thread

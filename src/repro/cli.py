@@ -6,7 +6,6 @@
     repro-race run --workload pbzip2 --detector dynamic [--scale 1.0]
     repro-race run -w pbzip2 -d dynamic --checkpoint-every 5000
     repro-race run -w pbzip2 -d dynamic --resume-from latest
-    repro-race run -w pbzip2 -d dynamic --shards 4 [--shard-procs 4]
     repro-race table 1 [--scale 0.5] [--workloads ferret,pbzip2]
     repro-race fuzz --workload ffmpeg --trials 50
     repro-race fuzz -w ffmpeg --faults --max-events 3000 --trial-timeout 10 \
@@ -23,8 +22,8 @@
     repro-race conform --workload streamcluster --seeds 3
     repro-race golden regen
     repro-race golden verify
-    repro-race bench [--quick] [--out BENCH_slowdown.json] [--shards 4]
-    repro-race bench --quick --shards 4 --check-history [--sampling]
+    repro-race bench [--quick] [--out BENCH_slowdown.json]
+    repro-race bench --quick --check-history [--sampling]
     repro-race serve [--port 7432] [--checkpoint-root DIR]
     repro-race loadgen --quick [--connect HOST:PORT] [-o BENCH_server.json]
 """
@@ -121,36 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         help="cap live shadow clock groups; the detector degrades "
         "precision instead of growing past the cap",
-    )
-    run.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the shadow space into N shards, one detector "
-        "each, with deterministic merge (output is byte-identical to "
-        "an unsharded run; see docs/ALGORITHM.md §11)",
-    )
-    run.add_argument(
-        "--shard-strategy",
-        choices=("ranges", "pages"),
-        default="ranges",
-        help="contiguous address ranges (default; both granularity "
-        "families) or hashed 4 KiB pages (fixed granularity only)",
-    )
-    run.add_argument(
-        "--shard-procs",
-        type=int,
-        default=0,
-        help="run shard detectors in N worker processes "
-        "(0 = in-process serial sharding)",
-    )
-    run.add_argument(
-        "--shard-transport",
-        choices=("shm", "pickle"),
-        default="shm",
-        help="how worker processes receive their feeds: shared-memory "
-        "ring over the binary trace form (default) or pickled tuples "
-        "through the pool pipe (see docs/ALGORITHM.md §12)",
     )
     run.add_argument(
         "--checkpoint-every",
@@ -374,14 +343,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(statistics()['perf']) for each detector",
     )
     bench.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="also measure the sharded pipeline at every shard count "
-        "up to N (speedup curve; each run is conformance-checked "
-        "against the unsharded replay)",
-    )
-    bench.add_argument(
         "--history",
         default="BENCH_history.jsonl",
         help="append a compact per-run summary line to this JSONL log "
@@ -570,9 +531,6 @@ def _cmd_run(args) -> int:
         f"workload {workload.name}: {len(trace)} events, "
         f"{trace.n_threads} threads, {trace.shared_accesses} shared accesses"
     )
-    if args.shards > 1 and args.shadow_budget is not None:
-        print("--shards and --shadow-budget are mutually exclusive")
-        return 2
     if args.checkpoint_every is not None or args.resume_from is not None:
         return _run_session(args, workload, trace)
     m = measure(
@@ -590,29 +548,7 @@ def _cmd_run(args) -> int:
         from repro.detectors.guards import GuardedDetector
 
         det = GuardedDetector(det, shadow_budget=args.shadow_budget)
-    try:
-        result = replay(
-            trace,
-            det,
-            shards=args.shards,
-            shard_strategy=args.shard_strategy,
-            shard_processes=args.shard_procs,
-            shard_transport=args.shard_transport,
-        )
-    except Exception as err:
-        from repro.perf.parallel import ShardError
-
-        if not isinstance(err, ShardError):
-            raise
-        print(f"cannot shard: {err}")
-        return 2
-    if args.shards > 1:
-        sec = result.stats["shards"]
-        print(
-            f"sharding: {sec['effective']} shard(s) "
-            f"(requested {sec['requested']}, strategy {sec['strategy']}, "
-            f"mode {sec['mode']})"
-        )
+    result = replay(trace, det)
     if args.shadow_budget is not None:
         guard = det.statistics()["guard"]
         print(
@@ -643,8 +579,6 @@ def _run_session(args, workload, trace) -> int:
     ckpt_dir = args.checkpoint_dir or os.path.join(
         ".repro-race", "checkpoints", f"{workload.name}-{args.detector}"
     )
-    if args.shards > 1 and args.shard_procs:
-        print("note: sessions shard in-process; ignoring --shard-procs")
     session = DetectionSession(
         trace,
         args.detector,
@@ -652,14 +586,7 @@ def _run_session(args, workload, trace) -> int:
         checkpoint_every=args.checkpoint_every or 5000,
         suppress=suppress,
         shadow_budget=args.shadow_budget,
-        shards=args.shards,
-        shard_strategy=args.shard_strategy,
     )
-    if args.shards > 1:
-        print(
-            f"sharding: {session.effective_shards} shard(s) "
-            f"(requested {args.shards}, strategy {args.shard_strategy})"
-        )
     try:
         result = session.run(resume=args.resume_from)
     except CheckpointError as err:
@@ -957,7 +884,6 @@ def _cmd_bench(args) -> int:
         batch_span=args.batch_span,
         quick=args.quick,
         profile=args.profile,
-        shards=args.shards,
         sampling=args.sampling,
     )
     write_bench(result, args.out)
@@ -976,7 +902,7 @@ def _cmd_bench(args) -> int:
             regressions = check_history(line, prior)
             print(format_regressions(regressions, compared))
     if result["conformance"]["divergences"]:
-        print("FAIL: dispatch-mode or sharded replay diverged")
+        print("FAIL: batched and unbatched replay diverged")
         return 1
     sampling = result.get("sampling")
     if sampling:

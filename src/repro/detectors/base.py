@@ -264,7 +264,7 @@ class VectorClockRuntime(Detector):
     #: that record nothing collapse into a single clock advance — clock
     #: maintenance is bounded by sampled events, not trace length.
     #: Class-level False keeps the normal hot path at one falsy
-    #: attribute load (same pattern as ``_vec_journal``).
+    #: attribute load.
     lazy_epochs = False
 
     #: Subclasses that call :meth:`_materialize_epoch` at the top of

@@ -50,15 +50,6 @@ class _Shadow:
 class FastTrackDetector(VectorClockRuntime):
     """FastTrack at a fixed granularity (1 = byte, 4 = word)."""
 
-    #: Sharded-replay journal hooks (repro.perf.parallel): when a worker
-    #: attaches a journal, every live-vector count change is recorded
-    #: with the current global trace position so the merge can replay
-    #: the cross-shard interleaving and reconstruct the exact peak.
-    #: Class-level None keeps the normal (unsharded) path cost at one
-    #: falsy attribute load per mutation site.
-    _vec_journal = None
-    _vec_pos = None
-
     #: Access paths materialize deferred epochs, so the sampling tier
     #: may enable lazy sampled-epoch timestamping (ALGORITHM.md §14).
     supports_lazy_epochs = True
@@ -113,8 +104,6 @@ class FastTrackDetector(VectorClockRuntime):
         self.live_vectors += 2
         if self.live_vectors > self.max_vectors:
             self.max_vectors = self.live_vectors
-        if self._vec_journal is not None:
-            self._vec_journal.append((self._vec_pos[0], self.live_vectors))
         return rec
 
     # ------------------------------------------------------------------
@@ -174,10 +163,6 @@ class FastTrackDetector(VectorClockRuntime):
                 self.live_vectors += 1
                 if self.live_vectors > self.max_vectors:
                     self.max_vectors = self.live_vectors
-                if self._vec_journal is not None:
-                    self._vec_journal.append(
-                        (self._vec_pos[0], self.live_vectors)
-                    )
             rec.r_site = site
 
     def on_write(self, tid: int, addr: int, size: int, site: int = 0) -> None:
@@ -232,10 +217,6 @@ class FastTrackDetector(VectorClockRuntime):
                 sz = self.memory.sizes
                 self.memory.sub(VECTOR_CLOCK, sz.vc_bytes(self.n_threads))
                 self.live_vectors -= 1
-                if self._vec_journal is not None:
-                    self._vec_journal.append(
-                        (self._vec_pos[0], self.live_vectors)
-                    )
             rec.wc = my_clock
             rec.wt = tid
             rec.w_site = site
@@ -370,10 +351,6 @@ class FastTrackDetector(VectorClockRuntime):
             self._table.delete_range(addr, size)
             self.memory.sub(VECTOR_CLOCK, freed_vc_bytes)
             self.live_vectors -= 2 * freed
-            if self._vec_journal is not None:
-                self._vec_journal.append(
-                    (self._vec_pos[0], self.live_vectors)
-                )
             # Freed shadow may be recreated if the block is reused, and
             # races must not be suppressed for the new lifetime.
             stale = [a for a in self._racy if addr <= a < addr + size]

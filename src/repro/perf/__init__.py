@@ -1,7 +1,7 @@
 """Replay performance layer.
 
-Two ingredients keep the replay loop close to the per-event cost the
-paper's design targets:
+The replay loop is kept close to the per-event cost the paper's design
+targets, and measured, by:
 
 * :mod:`repro.perf.batch` — batched event dispatch: runs of
   consecutive same-thread, same-op, same-site, address-adjacent
@@ -16,11 +16,8 @@ paper's design targets:
   and writes ``BENCH_slowdown.json`` so every PR has a perf trajectory
   to compare against (plus an append-only ``BENCH_history.jsonl`` run
   log).
-* :mod:`repro.perf.parallel` — the sharded detection pipeline: the
-  shadow address space is cut into shards at boundaries proven safe for
-  the detector family, each shard runs its own detector instance (in
-  process or in worker processes), and the per-shard outputs merge
-  deterministically into results byte-identical to an unsharded run.
+* :mod:`repro.perf.binlog` — the canonical binary trace form that
+  ``Trace.digest()`` hashes and the wire protocol's EVENTS rows reuse.
 """
 
 from repro.perf.batch import DEFAULT_BATCH_SPAN, BatchStats, coalesce_events
@@ -30,21 +27,7 @@ __all__ = [
     "BatchStats",
     "coalesce_events",
     "run_bench",
-    "sharded_replay",
-    "ShardedDetector",
-    "ShardPlan",
-    "plan_shards",
 ]
-
-
-def __getattr__(name):
-    # Lazy re-exports: repro.perf.parallel pulls in the detector stack,
-    # which plain batching users should not pay for.
-    if name in ("sharded_replay", "ShardedDetector", "ShardPlan", "plan_shards"):
-        from repro.perf import parallel
-
-        return getattr(parallel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def run_bench(*args, **kwargs):

@@ -190,132 +190,6 @@ def coalesce_events(
     return out
 
 
-def coalesce_indexed(
-    events: Sequence[tuple],
-    positions: Sequence[int],
-    max_span: int = DEFAULT_BATCH_SPAN,
-    max_streams: int = DEFAULT_MAX_STREAMS,
-) -> "tuple[List[tuple], List[int]]":
-    """:func:`coalesce_events` plus provenance: the feed and, for each
-    feed item, the global trace position of its *first* member event.
-
-    The sharded pipeline coalesces each shard's sub-stream separately
-    (a shard never sees the other shards' accesses, so coalescing the
-    global feed first would leave runs straddling shard cuts) and needs
-    the positions to order per-shard race reports and accounting
-    journals back into one global sequence.
-
-    One rule is added on top of :func:`coalesce_events`: a gap in the
-    positions (events another shard consumed) flushes all pending runs.
-    Every emitted run therefore covers *globally consecutive* events —
-    member ``i`` sits at position ``first + i`` — so stamping a run's
-    mutations and race reports with its first-member position keeps the
-    merged cross-shard ordering exact (nothing from another shard can
-    fall inside the run's position span).  On a gap-free position
-    sequence the output is identical to :func:`coalesce_events`;
-    ``tests/perf/test_parallel.py`` pins that equivalence on every
-    workload.
-    """
-    out: List[tuple] = []
-    outpos: List[int] = []
-    append = out.append
-    append_pos = outpos.append
-    # Pending runs carry their first member's global position as a 7th
-    # element; _emit() slices it off.
-    runs: List[list] = []
-    pend = None
-    last_pos = None
-
-    def emit(run: list) -> None:
-        append_pos(run[6])
-        if run[3] > run[5]:
-            append(tuple(run[:6]))
-        else:
-            append((run[0], run[1], run[2], run[3], run[4]))
-
-    for ev, pos in zip(events, positions):
-        if last_pos is not None and pos != last_pos + 1:
-            # Global-order gap: another shard's events sit between this
-            # event and the previous one, so no run may span it.
-            if pend is not None:
-                emit(pend)
-                pend = None
-            for r in runs:
-                emit(r)
-            runs.clear()
-        last_pos = pos
-        op = ev[0]
-        if op == READ:
-            if pend is not None:
-                emit(pend)
-                pend = None
-            if runs and runs[0][1] != ev[1]:
-                for r in runs:
-                    emit(r)
-                runs.clear()
-            lo = ev[2]
-            hi = ev[2] + ev[3]
-            for r in runs:
-                if (
-                    r[4] == ev[4]
-                    and r[5] == ev[3]
-                    and r[2] + r[3] == ev[2]
-                    and r[3] + ev[3] <= max_span
-                ):
-                    if all(
-                        o is r
-                        or hi + MIN_STREAM_GAP <= o[2]
-                        or o[2] + o[3] + MIN_STREAM_GAP <= r[2]
-                        for o in runs
-                    ):
-                        r[3] += ev[3]
-                        break
-                    for q in runs:
-                        emit(q)
-                    runs.clear()
-                    runs.append([op, ev[1], lo, ev[3], ev[4], ev[3], pos])
-                    break
-            else:
-                if len(runs) >= max_streams or not all(
-                    hi + MIN_STREAM_GAP <= o[2]
-                    or o[2] + o[3] + MIN_STREAM_GAP <= lo
-                    for o in runs
-                ):
-                    for r in runs:
-                        emit(r)
-                    runs.clear()
-                runs.append([op, ev[1], lo, ev[3], ev[4], ev[3], pos])
-            continue
-        if runs:
-            for r in runs:
-                emit(r)
-            runs.clear()
-        if op == WRITE:
-            if pend is not None:
-                if (
-                    pend[1] == ev[1]
-                    and pend[4] == ev[4]
-                    and pend[5] == ev[3]
-                    and pend[2] + pend[3] == ev[2]
-                    and pend[3] + ev[3] <= max_span
-                ):
-                    pend[3] += ev[3]
-                    continue
-                emit(pend)
-            pend = [op, ev[1], ev[2], ev[3], ev[4], ev[3], pos]
-            continue
-        if pend is not None:
-            emit(pend)
-            pend = None
-        append(tuple(ev))
-        append_pos(pos)
-    if pend is not None:
-        emit(pend)
-    for r in runs:
-        emit(r)
-    return out, outpos
-
-
 def batch_stats(events: Sequence[tuple], batched: Sequence[tuple]) -> BatchStats:
     """Stats pair for a feed and its coalesced form."""
     return BatchStats(events_in=len(events), events_out=len(batched))

@@ -57,121 +57,6 @@ def _race_key(r) -> tuple:
     return (r.addr, r.kind, r.tid, r.site, r.prev_tid, r.prev_site, r.unit)
 
 
-def _shard_counts(shards: int) -> List[int]:
-    """The speedup-curve sample points: powers of two up to ``shards``,
-    plus ``shards`` itself (so ``--shards 7`` measures 2, 4 and 7)."""
-    counts = []
-    c = 2
-    while c < shards:
-        counts.append(c)
-        c *= 2
-    counts.append(shards)
-    return counts
-
-
-def _sharded_rows(
-    trace: Trace,
-    detector_name: str,
-    shards: int,
-    span: int,
-    repeats: int,
-    baseline,
-    divergences: List[Dict[str, object]],
-    wname: str,
-) -> Dict[str, object]:
-    """Per-shard-count measurements for one (workload, detector).
-
-    Every sharded run is conformance-checked against the single-shard
-    ``baseline`` (batched replay): race keys and statistics must match
-    exactly, and any divergence fails the bench like a batching
-    divergence does.  Serial mode measures the in-process adapter
-    (merge overhead, no parallelism); process mode runs one worker per
-    shard over the shared-memory feed ring and is the parallel-speedup
-    figure.
-    """
-    from repro.perf.parallel import ShardError, sharded_replay
-
-    base_keys = [_race_key(r) for r in baseline.races]
-    base_stats = dict(baseline.stats)
-    base_eps = (
-        len(trace) / baseline.wall_time if baseline.wall_time > 0 else 0.0
-    )
-    rows: Dict[str, object] = {}
-    for count in _shard_counts(shards):
-        row: Dict[str, object] = {"requested": count}
-        try:
-            runs = {"serial": None, "processes": None}
-            for _ in range(max(repeats, 1)):
-                for mode in runs:
-                    det = create_detector(
-                        detector_name, suppress=default_suppression
-                    )
-                    res = sharded_replay(
-                        trace,
-                        det,
-                        count,
-                        batched=True,
-                        batch_span=span,
-                        processes=count if mode == "processes" else 0,
-                        transport="shm",
-                    )
-                    if runs[mode] is None or res.wall_time < runs[mode].wall_time:
-                        runs[mode] = res
-        except ShardError as exc:
-            row["error"] = str(exc)
-            rows[str(count)] = row
-            continue
-        row["effective"] = runs["serial"].stats["shards"]["effective"]
-        conforms = True
-        for mode, res in runs.items():
-            keys = [_race_key(r) for r in res.races]
-            stats = {k: v for k, v in res.stats.items() if k != "shards"}
-            if keys != base_keys or stats != base_stats:
-                conforms = False
-                divergences.append(
-                    {
-                        "workload": wname,
-                        "detector": detector_name,
-                        "kind": f"sharded-{mode}",
-                        "shards": count,
-                        "unsharded_races": len(base_keys),
-                        "sharded_races": len(keys),
-                        "stats_match": stats == base_stats,
-                    }
-                )
-            eps = len(trace) / res.wall_time if res.wall_time > 0 else 0.0
-            row[mode] = {
-                "wall_s": res.wall_time,
-                "events_per_sec": eps,
-                "speedup_vs_single": eps / base_eps if base_eps > 0 else 0.0,
-            }
-        row["processes"]["procs"] = runs["processes"].stats["shards"].get(
-            "processes", 0
-        )
-        row["conforms"] = conforms
-        rows[str(count)] = row
-    return rows
-
-
-def _transport_row(trace: Trace, detector_name: str, shards: int, span: int):
-    """Measured per-event transport cost (shm ring vs pickle pipe) for
-    one (workload, detector), rounded for the JSON report.  This is the
-    single-CPU acceptance figure: on hosts where process-mode speedup
-    cannot exceed 1.0, ``ratio_vs_pickle`` must still show the binary
-    transport moving at least 5x fewer bytes per event per run."""
-    from repro.perf.parallel import ShardError, transport_cost
-
-    det = create_detector(detector_name, suppress=default_suppression)
-    try:
-        cost = transport_cost(trace, det, shards=shards, batch_span=span)
-    except ShardError as exc:
-        return {"error": str(exc)}
-    return {
-        k: (round(v, 4) if isinstance(v, float) else v)
-        for k, v in cost.items()
-    }
-
-
 def _min_replay_pair(trace: Trace, detector_name: str, repeats: int):
     """Fresh-detector replays of both dispatch modes, interleaved
     (unbatched, batched, unbatched, ...) so machine-load drift hits
@@ -220,17 +105,9 @@ def run_bench(
     batch_span: Optional[int] = None,
     quick: bool = False,
     profile: bool = False,
-    shards: int = 1,
     sampling: bool = False,
 ) -> Dict[str, object]:
     """The full bench sweep; returns the ``BENCH_slowdown.json`` dict.
-
-    With ``shards > 1`` each (workload, detector) pair additionally
-    runs through the sharded pipeline at every shard count on the
-    speedup curve (2, 4, …, ``shards``), in both serial and process
-    mode, and every sharded run is conformance-checked against the
-    single-detector batched replay; a per-event transport-cost row
-    (shared-memory ring vs pickle pipe) is recorded alongside.
 
     With ``sampling=True`` the sampling × detector recall grid
     (:mod:`repro.perf.sampling`) runs over the golden corpus — every
@@ -295,22 +172,7 @@ def run_bench(
                 )
                 replay(trace, timed, batched=True)
                 det_row["perf"] = timed.statistics()["perf"]
-            if shards > 1:
-                det_row["sharded"] = _sharded_rows(
-                    trace,
-                    dname,
-                    shards,
-                    span,
-                    repeats,
-                    run_ba,
-                    divergences,
-                    wname,
-                )
-                det_row["transport"] = _transport_row(
-                    trace, dname, shards, span
-                )
             det_rows[dname] = det_row
-        trace.release_shared()
         wl_rows[wname] = {
             "events": events,
             "shared_accesses": trace.shared_accesses,
@@ -334,7 +196,6 @@ def run_bench(
             "seed": seed,
             "repeats": repeats,
             "batch_span": span,
-            "shards": shards,
         },
         "workloads": wl_rows,
         "conformance": {
@@ -342,18 +203,6 @@ def run_bench(
             "details": divergences,
         },
     }
-    if shards > 1:
-        ratios = [
-            drow["transport"]["ratio_vs_pickle"]
-            for wrow in wl_rows.values()
-            for drow in wrow["detectors"].values()
-            if "ratio_vs_pickle" in drow.get("transport", {})
-        ]
-        if ratios:
-            result["transport_summary"] = {
-                "min_ratio_vs_pickle": min(ratios),
-                "max_ratio_vs_pickle": max(ratios),
-            }
     if sampling:
         from repro.perf.sampling import sampling_report
 
@@ -388,10 +237,9 @@ def history_line(result: Dict[str, object]) -> Dict[str, object]:
     """The compact per-run summary appended to ``BENCH_history.jsonl``.
 
     One line per bench invocation: schema, git revision, timestamp,
-    config, and per (workload, detector) the throughput/slowdown pair
-    plus — when sharding was measured — the per-shard-count speedup
-    curve.  Everything else (shadow stats, divergence details) stays in
-    the full ``BENCH_slowdown.json``.
+    config, and per (workload, detector) the throughput/slowdown pair.
+    Everything else (shadow stats, divergence details) stays in the
+    full ``BENCH_slowdown.json``.
     """
     rows: List[Dict[str, object]] = []
     for wname, wrow in result["workloads"].items():
@@ -405,21 +253,8 @@ def history_line(result: Dict[str, object]) -> Dict[str, object]:
                 "slowdown": drow["unbatched"]["slowdown"],
                 "slowdown_batched": drow["batched"]["slowdown"],
             }
-            sharded = drow.get("sharded")
-            if sharded:
-                row["sharded"] = {
-                    count: {
-                        "effective": srow.get("effective", 1),
-                        "events_per_sec": srow["processes"]["events_per_sec"],
-                        "speedup_vs_single": srow["processes"][
-                            "speedup_vs_single"
-                        ],
-                    }
-                    for count, srow in sharded.items()
-                    if "error" not in srow
-                }
             rows.append(row)
-    line = {
+    return {
         "schema": HISTORY_SCHEMA,
         "git_rev": _git_rev(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -428,9 +263,6 @@ def history_line(result: Dict[str, object]) -> Dict[str, object]:
         "divergences": result["conformance"]["divergences"],
         "rows": rows,
     }
-    if "transport_summary" in result:
-        line["transport"] = result["transport_summary"]
-    return line
 
 
 def append_history(result: Dict[str, object], path: str) -> Dict[str, object]:
@@ -447,7 +279,8 @@ def append_history(result: Dict[str, object], path: str) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 #: Config keys that must match for two history lines to be comparable —
 #: throughput is only meaningful against the same workload set, scale,
-#: seed, dispatch span and shard request.
+#: seed and dispatch span.  No other config key may change the per-row
+#: figures: lines that differ only in other keys stay comparable.
 _GATE_CONFIG_KEYS = (
     "workloads",
     "detectors",
@@ -455,7 +288,6 @@ _GATE_CONFIG_KEYS = (
     "seed",
     "repeats",
     "batch_span",
-    "shards",
 )
 
 #: Throughput metrics the gate watches, per history row.
@@ -513,7 +345,7 @@ def check_history(
     """Regressions of ``line`` against the best prior comparable run.
 
     A prior line is comparable when it ran the same config (workloads,
-    detectors, scale, seed, repeats, span, shards) in the same quick
+    detectors, scale, seed, repeats, span) in the same quick
     mode and finished with zero conformance divergences.  For each
     (workload, detector) row, each throughput metric must stay within
     ``threshold`` (fraction) of the best value any comparable prior run
@@ -617,31 +449,6 @@ def format_bench(result: Dict[str, object]) -> str:
                 f"{un['slowdown']:6.2f} {ba['slowdown']:7.2f} "
                 f"{'yes' if drow['conforms'] else 'NO'}"
             )
-            for count, srow in drow.get("sharded", {}).items():
-                if "error" in srow:
-                    lines.append(
-                        f"{'':14s}   shards={count}: {srow['error']}"
-                    )
-                    continue
-                ser, par = srow["serial"], srow["processes"]
-                lines.append(
-                    f"{'':14s}   shards={count} (eff {srow['effective']}): "
-                    f"serial {ser['events_per_sec']:.0f} ev/s "
-                    f"({ser['speedup_vs_single']:.2f}x), "
-                    f"procs {par['events_per_sec']:.0f} ev/s "
-                    f"({par['speedup_vs_single']:.2f}x) "
-                    f"{'ok' if srow['conforms'] else 'DIVERGED'}"
-                )
-            tr = drow.get("transport")
-            if tr and "error" not in tr:
-                lines.append(
-                    f"{'':14s}   transport: pickle "
-                    f"{tr['pickle_bytes_per_event']:.2f} B/ev vs shm "
-                    f"{tr['shm_bytes_per_event']:.3f} B/ev per run "
-                    f"({tr['ratio_vs_pickle']:.0f}x fewer; "
-                    f"publish {tr['shm_publish_bytes_per_event']:.1f} B/ev "
-                    f"once)"
-                )
         lines.append(f"{'':14s} (dispatch compression {comp:.1f}%)")
     sampling = result.get("sampling")
     if sampling:

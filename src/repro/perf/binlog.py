@@ -1,49 +1,20 @@
-"""Binary trace encoding and shared-memory shard transport.
+"""Canonical binary trace encoding.
 
-Two layers live here, both fixed-width and decodable in place:
-
-**Canonical trace binlog** — ``encode_trace``/``decode_trace`` pack a
+``encode_trace``/``decode_trace`` pack a
 :class:`~repro.runtime.trace.Trace` into one ``bytes`` blob: an 8-byte
 magic, a fixed header, the event list as a dense ``(n, 5)`` little-endian
 ``int64`` matrix, and three deterministic side tables (utf-8 name,
 sorted heap-stats table, canonical-JSON fault records).  Every field is
 written in a single canonical order, so ``encode(decode(b)) == b`` and
 the blob doubles as the trace's identity: ``Trace.digest()`` hashes it.
-
-**Shard feed ring** — :class:`ShmFeedRing` publishes one trace's
-per-shard dispatch feeds through ``multiprocessing.shared_memory`` so
-worker processes attach and decode in place instead of receiving pickled
-Python event objects over a pipe.  The key observation (and the reason
-the ring is small) is that the batch coalescer's ranged 6-tuples are
-*views over the canonical event matrix*: ``coalesce_indexed`` only ever
-merges globally consecutive events of uniform width, so a feed item is
-fully described by ``(pos, count)`` — the canonical row index of its
-first member and the member count.  ``count == 1`` reproduces the plain
-5-tuple verbatim from row ``pos``; ``count > 1`` reproduces the ranged
-6-tuple ``(op, tid, addr, width*count, site, width)`` with every field
-read from row ``pos``.  The ring therefore holds the event matrix once
-(shared by all shards — broadcasts are not duplicated) plus one tiny
-``(pos:u32, count:u32)`` run table per shard.
-
-Ring segment layout (all offsets 8-byte aligned)::
-
-    0   magic               b"RRSHMR1\\n"
-    8   header  <3Q>        n_events, n_slots, total_rows
-    32  slot index          n_slots * <2Q>  (row_offset, n_rows)
-    .   events              n_events * 5 * <i8   canonical matrix
-    .   runs                total_rows * 2 * <u4  concatenated slot tables
-
-Rings created by this process are tracked and unlinked at interpreter
-exit as a safety net; callers should still release them deterministically
-(``Trace.release_shared()``) once a trace's replays are done.
+The wire protocol's EVENTS payload reuses the same ``<i8`` row format.
 """
 
 from __future__ import annotations
 
-import atexit
 import json
 import struct
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -162,242 +133,4 @@ def decode_trace(blob: bytes):
         n_threads=n_threads,
         heap_stats=heap_stats,
         faults=faults,
-    )
-
-
-# ----------------------------------------------------------------------
-# feed run descriptors
-# ----------------------------------------------------------------------
-RUN_DTYPE = np.dtype("<u4")
-RUN_RECORD_BYTES = 2 * RUN_DTYPE.itemsize  # (pos, count)
-
-
-def runs_from_feed(
-    feed: Sequence[tuple], positions: Sequence[int]
-) -> np.ndarray:
-    """Encode one shard's dispatch feed as an ``(m, 2)`` u32 run table.
-
-    Relies on the coalescer invariants (``coalesce_indexed``): a ranged
-    6-tuple's members sit at consecutive global positions starting at
-    its recorded position, all share the width of the first member, and
-    the merged size is ``count * width``.  Plain events are runs of one.
-    """
-    m = len(feed)
-    runs = np.empty((m, 2), dtype=RUN_DTYPE)
-    for i, (ev, pos) in enumerate(zip(feed, positions)):
-        runs[i, 0] = pos
-        runs[i, 1] = ev[3] // ev[5] if len(ev) == 6 else 1
-    return runs
-
-
-def feed_from_runs(
-    events: np.ndarray, runs: np.ndarray
-) -> Tuple[List[tuple], List[int]]:
-    """Decode a run table back into ``(feed, positions)`` — the exact
-    lists :func:`repro.perf.parallel.shard_feeds` produced."""
-    positions = runs[:, 0].tolist()
-    counts = runs[:, 1].tolist()
-    heads = events[runs[:, 0]].tolist() if len(positions) else []
-    feed: List[tuple] = []
-    append = feed.append
-    for (op, tid, addr, width, site), count in zip(heads, counts):
-        if count == 1:
-            append((op, tid, addr, width, site))
-        else:
-            append((op, tid, addr, width * count, site, width))
-    return feed, positions
-
-
-# ----------------------------------------------------------------------
-# shared-memory feed ring
-# ----------------------------------------------------------------------
-RING_MAGIC = b"RRSHMR1\n"
-_RING_HEADER = struct.Struct("<3Q")  # n_events, n_slots, total_rows
-_SLOT_ENTRY = struct.Struct("<2Q")  # row_offset, n_rows
-_RING_HEADER_OFF = len(RING_MAGIC)
-_SLOT_INDEX_OFF = _RING_HEADER_OFF + _RING_HEADER.size  # 32
-
-_LIVE_RINGS: "Dict[str, ShmFeedRing]" = {}
-
-
-def _atexit_release() -> None:  # pragma: no cover - interpreter teardown
-    for ring in list(_LIVE_RINGS.values()):
-        ring.destroy()
-
-
-atexit.register(_atexit_release)
-
-
-class ShmFeedRing:
-    """One published trace + per-shard run tables in a shm segment.
-
-    The publisher creates the segment (:meth:`publish`) and owns its
-    lifetime; workers :meth:`attach` by name, decode their slot with
-    :meth:`feed`, and :meth:`close` — no worker ever unlinks.  No numpy
-    view over the buffer outlives a method call, so closing never trips
-    the exported-pointer guard in ``mmap``.
-    """
-
-    def __init__(self, shm, created: bool):
-        self._shm = shm
-        self._created = created
-        self._destroyed = False
-        head = bytes(shm.buf[:_SLOT_INDEX_OFF])
-        if head[:_RING_HEADER_OFF] != RING_MAGIC:
-            shm.close()
-            raise BinlogError(
-                f"bad ring magic {head[:_RING_HEADER_OFF]!r}"
-            )
-        self.n_events, self.n_slots, self.total_rows = _RING_HEADER.unpack_from(
-            head, _RING_HEADER_OFF
-        )
-        self._events_off = _SLOT_INDEX_OFF + self.n_slots * _SLOT_ENTRY.size
-        self._runs_off = self._events_off + self.n_events * EVENT_RECORD_BYTES
-        if created:
-            _LIVE_RINGS[shm.name] = self
-
-    # -- construction ---------------------------------------------------
-    @classmethod
-    def publish(
-        cls, events: np.ndarray, runs_list: Sequence[np.ndarray]
-    ) -> "ShmFeedRing":
-        """Create a segment holding ``events`` (the canonical ``(n, 5)``
-        matrix) and one run table per shard."""
-        from multiprocessing import shared_memory
-
-        n = int(events.shape[0])
-        if n >= 2**32:
-            raise BinlogError("trace too large for u32 run positions")
-        n_slots = len(runs_list)
-        rows = [int(r.shape[0]) for r in runs_list]
-        total_rows = sum(rows)
-        size = ring_size(n, n_slots, total_rows)
-        shm = shared_memory.SharedMemory(create=True, size=size)
-        buf = shm.buf
-        buf[:_RING_HEADER_OFF] = RING_MAGIC
-        _RING_HEADER.pack_into(buf, _RING_HEADER_OFF, n, n_slots, total_rows)
-        off, row_off = _SLOT_INDEX_OFF, 0
-        for m in rows:
-            _SLOT_ENTRY.pack_into(buf, off, row_off, m)
-            off += _SLOT_ENTRY.size
-            row_off += m
-        events_off = _SLOT_INDEX_OFF + n_slots * _SLOT_ENTRY.size
-        ev_view = np.ndarray(
-            (n, EVENT_FIELDS), dtype="<i8", buffer=buf, offset=events_off
-        )
-        ev_view[:] = events
-        runs_off = events_off + n * EVENT_RECORD_BYTES
-        run_view = np.ndarray(
-            (total_rows, 2), dtype=RUN_DTYPE, buffer=buf, offset=runs_off
-        )
-        row_off = 0
-        for r, m in zip(runs_list, rows):
-            run_view[row_off : row_off + m] = r
-            row_off += m
-        del ev_view, run_view
-        return cls(shm, created=True)
-
-    @classmethod
-    def attach(cls, name: str) -> "ShmFeedRing":
-        """Attach to a segment published by another process.
-
-        On Python < 3.13 attaching re-registers the name with the
-        resource tracker; pool workers share the publisher's tracker
-        process, so that re-registration is an idempotent no-op and the
-        publisher's eventual unlink unregisters it exactly once."""
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(name=name)
-        return cls(shm, created=False)
-
-    # -- access ---------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    @property
-    def logical_size(self) -> int:
-        """Bytes the ring layout occupies (the kernel may round the
-        segment itself up to a page boundary)."""
-        return ring_size(self.n_events, self.n_slots, self.total_rows)
-
-    def slot_rows(self, shard: int) -> int:
-        _, m = self._slot_entry(shard)
-        return m
-
-    def _slot_entry(self, shard: int) -> Tuple[int, int]:
-        if not 0 <= shard < self.n_slots:
-            raise BinlogError(
-                f"slot {shard} out of range (ring has {self.n_slots})"
-            )
-        return _SLOT_ENTRY.unpack_from(
-            self._shm.buf, _SLOT_INDEX_OFF + shard * _SLOT_ENTRY.size
-        )
-
-    def feed(self, shard: int) -> Tuple[List[tuple], List[int]]:
-        """Decode shard ``shard``'s dispatch feed in place."""
-        row_off, m = self._slot_entry(shard)
-        if m == 0:
-            return [], []
-        buf = self._shm.buf
-        events = np.ndarray(
-            (self.n_events, EVENT_FIELDS),
-            dtype="<i8",
-            buffer=buf,
-            offset=self._events_off,
-        )
-        runs = np.ndarray(
-            (m, 2),
-            dtype=RUN_DTYPE,
-            buffer=buf,
-            offset=self._runs_off + row_off * RUN_RECORD_BYTES,
-        )
-        try:
-            return feed_from_runs(events, runs)
-        finally:
-            del events, runs
-
-    # -- lifecycle ------------------------------------------------------
-    def close(self) -> None:
-        try:
-            self._shm.close()
-        except Exception:  # pragma: no cover - already closed
-            pass
-
-    def destroy(self) -> None:
-        """Close, and unlink if this process published the segment.
-
-        Idempotent and abnormal-exit safe by contract: reclaim runs
-        from ``Trace.release_shared()``, from worker-pool teardown *and*
-        from the atexit backstop, in any order, possibly after a crashed
-        publisher (or an impatient resource tracker) already unlinked
-        the segment — a second ``destroy()``, an externally-unlinked
-        segment, or a half-torn-down ``SharedMemory`` object must all be
-        silent no-ops, never a raise during cleanup.
-        """
-        if getattr(self, "_destroyed", False):
-            return
-        self._destroyed = True
-        try:
-            _LIVE_RINGS.pop(self._shm.name, None)
-        except Exception:  # pragma: no cover - shm lost its name attr
-            pass
-        self.close()
-        if self._created:
-            self._created = False
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass  # already unlinked (crashed publisher / tracker)
-            except Exception:  # pragma: no cover - platform quirks
-                pass
-
-
-def ring_size(n_events: int, n_slots: int, total_rows: int) -> int:
-    """Logical byte size of a ring segment for the given shape."""
-    return (
-        _SLOT_INDEX_OFF
-        + n_slots * _SLOT_ENTRY.size
-        + n_events * EVENT_RECORD_BYTES
-        + total_rows * RUN_RECORD_BYTES
     )

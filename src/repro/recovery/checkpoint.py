@@ -67,7 +67,6 @@ def write_checkpoint(
     trace_name: str = "",
     batched: bool = False,
     batch_span: Optional[int] = None,
-    shards: int = 1,
 ) -> dict:
     """Write ``state`` to ``path`` atomically; returns the manifest.
 
@@ -75,11 +74,6 @@ def write_checkpoint(
     ``feed_cursor`` is the index into the (possibly coalesced) dispatch
     feed the session will resume from.  The two differ under batched
     dispatch, where one feed item can cover many events.
-
-    ``shards`` is the *effective* shard count of the session that wrote
-    the state (1 = plain detector): a sharded snapshot holds one
-    sub-state per shard and cannot restore into a differently-sharded
-    detector, so the count is part of the compatibility contract.
     """
     payload = zlib.compress(_dumps(state), 6)
     manifest = {
@@ -91,7 +85,6 @@ def write_checkpoint(
         "trace_name": trace_name,
         "batched": bool(batched),
         "batch_span": batch_span,
-        "shards": int(shards),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "payload_bytes": len(payload),
     }
@@ -206,13 +199,12 @@ def validate_manifest(
     detector: str,
     batched: bool,
     batch_span: Optional[int],
-    shards: int = 1,
 ) -> None:
     """Refuse a checkpoint that does not belong to this session.
 
-    Digest mismatch means a different trace; detector, dispatch-mode or
-    shard-count mismatch means the resumed replay would diverge from the
-    prefix the checkpoint captured — all are :class:`CheckpointError`.
+    Digest mismatch means a different trace; detector or dispatch-mode
+    mismatch means the resumed replay would diverge from the prefix the
+    checkpoint captured — all are :class:`CheckpointError`.
     """
     if manifest["trace_digest"] != trace_digest:
         raise CheckpointError(
@@ -235,10 +227,12 @@ def validate_manifest(
             f"span={manifest.get('batch_span')}, session uses "
             f"batched={batched} span={batch_span}"
         )
-    # Pre-sharding checkpoints lack the field; they were written by
-    # single-detector sessions, so the implied count is 1.
-    if int(manifest.get("shards", 1)) != int(shards):
+    # Older writers recorded a shard count; a state split across
+    # several shard detectors cannot restore into one detector.
+    # Checkpoints arrive from disk and over the migration wire, so this
+    # stays refused rather than trusted.
+    if manifest.get("shards", 1) != 1:
         raise CheckpointError(
-            f"{path}: checkpoint state is {manifest.get('shards', 1)}-way "
-            f"sharded, this session runs {shards} shard(s)"
+            f"{path}: checkpoint state is {manifest['shards']!r}-way "
+            f"sharded, this session runs one detector"
         )

@@ -99,20 +99,10 @@ class DetectionSession:
         shadow_budget: Optional[int] = None,
         kills: Union[FaultPlan, List[int], None] = None,
         keep_checkpoints: int = 3,
-        shards: int = 1,
-        shard_strategy: str = "ranges",
     ):
         if checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        if shards > 1 and shadow_budget is not None:
-            # The budget guard's shedding ladder mutates shadow state in
-            # ways the shard merge cannot reconcile with an unsharded
-            # run, so the byte-identity contract would silently break.
-            raise ValueError(
-                "sharded sessions cannot use shadow_budget; "
-                "pick one of the two"
             )
         if keep_checkpoints < 2:
             # One fallback generation minimum: the whole point of the
@@ -129,19 +119,6 @@ class DetectionSession:
         self.suppress = suppress
         self.shadow_budget = shadow_budget
         self.keep_checkpoints = keep_checkpoints
-        self.shards = shards
-        self.shard_strategy = shard_strategy
-        # Resolve the cut plan once: its effective shard count (which
-        # can degrade to 1 when the trace offers no safe cuts) is part
-        # of the checkpoint compatibility contract, so every attempt
-        # must build an identically-sharded detector.
-        self._plan = None
-        if shards > 1:
-            from repro.perf.parallel import plan_for
-
-            plan = plan_for(trace, shards, self._make_inner(), shard_strategy)
-            if plan.shards >= 2:
-                self._plan = plan
         if isinstance(kills, FaultPlan):
             self._kills = kills.detector_kill_events()
         else:
@@ -156,8 +133,8 @@ class DetectionSession:
         #: checkpoints discarded as bad — never offered again
         self._bad: set = set()
         # sha256 of the trace's canonical binary form (Trace.binlog):
-        # manifests commit to the exact bytes the codec round-trips and
-        # the shard transport ships, not to Python repr formatting.
+        # manifests commit to the exact bytes the codec round-trips,
+        # not to Python repr formatting.
         self._digest = trace.digest()
         self._label = self._detector_label()
         #: interruption history, merged into ``statistics()["recovery"]``
@@ -186,18 +163,9 @@ class DetectionSession:
 
     def _make_detector(self):
         inner = self._make_inner()
-        if self._plan is not None:
-            from repro.perf.parallel import ShardedDetector
-
-            return ShardedDetector(inner, self._plan)
         if self.shadow_budget is not None:
             return GuardedDetector(inner, shadow_budget=self.shadow_budget)
         return inner
-
-    @property
-    def effective_shards(self) -> int:
-        """Shard count actually in effect (1 when the plan degraded)."""
-        return self._plan.shards if self._plan is not None else 1
 
     def _detector_label(self) -> str:
         """The *inner* detector name — stable across degradation, so a
@@ -267,12 +235,7 @@ class DetectionSession:
         Called by the supervisor when retries are exhausted: instead of
         aborting, the session continues with the
         :class:`GuardedDetector` shedding ladder bounding shadow state.
-        A sharded session drops to one shard first (the guard and the
-        shard merge are mutually exclusive); its sharded checkpoints
-        then fail validation, so degraded attempts restart cold rather
-        than restore state the guard cannot interpret.
         """
-        self._plan = None
         self.shadow_budget = shadow_budget
         self.recovery["degraded"] = True
         self.recovery["shadow_budget"] = shadow_budget
@@ -315,7 +278,6 @@ class DetectionSession:
                 detector=self._label,
                 batched=self.batched,
                 batch_span=self._effective_span,
-                shards=self.effective_shards,
             )
             if state.get("kind") == "guarded" and not isinstance(
                 det, GuardedDetector
@@ -379,7 +341,6 @@ class DetectionSession:
             trace_name=self.trace.name,
             batched=self.batched,
             batch_span=self._effective_span,
-            shards=self.effective_shards,
         )
         self.recovery["checkpoints_written"] += 1
         self._prune()

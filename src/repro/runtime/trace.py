@@ -40,16 +40,6 @@ class Trace:
         # replayed many times — once per detector — so the one-pass
         # coalescing cost is paid once and amortized).
         self._coalesced: Dict[int, List[tuple]] = {}
-        # Sharded-replay caches (repro.perf.parallel): cut plans keyed
-        # by (shards, strategy, family) and per-shard event feeds keyed
-        # by (plan key, batched, span).  Like the coalesced feeds they
-        # are derived data — subset()/save() ignore them.
-        self._shard_plans: Dict[tuple, object] = {}
-        self._shard_feeds: Dict[tuple, tuple] = {}
-        # Published shared-memory feed rings (repro.perf.binlog), keyed
-        # like _shard_feeds.  Derived data with OS-level lifetime: call
-        # release_shared() when done replaying (atexit is the backstop).
-        self._shm_rings: Dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -156,8 +146,7 @@ class Trace:
         """The canonical binary encoding (:mod:`repro.perf.binlog`):
         fixed-width event records plus deterministic side tables for
         name, heap stats and faults.  Cached — traces are immutable once
-        scheduled — and shared by :meth:`digest` and the shared-memory
-        shard transport."""
+        scheduled — and hashed by :meth:`digest`."""
         cached = getattr(self, "_binlog", None)
         if cached is None:
             from repro.perf.binlog import encode_trace
@@ -172,26 +161,6 @@ class Trace:
 
         return decode_trace(blob)
 
-    def release_shared(self) -> None:
-        """Destroy any shared-memory feed rings published for this
-        trace (see :func:`repro.perf.parallel.sharded_replay`).
-
-        Idempotent, and tolerant of rings whose segments are already
-        gone (a crashed publisher's atexit pass races the resource
-        tracker): each ring is reclaimed independently, so one broken
-        segment can neither abort cleanup of the rest nor raise out of
-        interpreter teardown.  Replaying again simply republishes.
-        """
-        rings = getattr(self, "_shm_rings", None)
-        if not rings:
-            return
-        for ring in list(rings.values()):
-            try:
-                ring.destroy()
-            except Exception:  # pragma: no cover - defensive: destroy
-                pass  # is a no-raise contract, but atexit must not trust it
-        rings.clear()
-
     def digest(self) -> str:
         """Content hash over the canonical binary form.
 
@@ -199,7 +168,7 @@ class Trace:
         (same workload, different seed or scale) is refused instead of
         silently producing garbage.  Hashing :meth:`binlog` (rather than
         per-event ``repr``) makes the digest a commitment to the exact
-        bytes the shard transport ships and the codec round-trips.
+        bytes the codec round-trips.
         Cached — traces are immutable once scheduled.
         """
         cached = getattr(self, "_digest", None)

@@ -92,10 +92,6 @@ def replay(
     detector,
     batched: bool = False,
     batch_span: Optional[int] = None,
-    shards: int = 1,
-    shard_strategy: str = "ranges",
-    shard_processes: int = 0,
-    shard_transport: str = "shm",
 ) -> ReplayResult:
     """Replay ``trace`` through ``detector`` and collect results.
 
@@ -106,29 +102,7 @@ def replay(
     the dispatch cost changes.  The feed is computed outside the timed
     region — it is built once per trace and shared by every detector
     replaying it.
-
-    With ``shards > 1`` the replay runs through the sharded pipeline
-    (:mod:`repro.perf.parallel`): the shadow address space is cut into
-    shards, each with its own detector instance, and the per-shard
-    results are deterministically merged.  Output stays byte-identical
-    to the single-detector run; ``shard_processes > 0`` additionally
-    runs the shard detectors in worker processes, receiving their feeds
-    over the ``shard_transport`` of choice (``"shm"`` shared-memory
-    ring by default, ``"pickle"`` pool pipe for comparison).
     """
-    if shards > 1:
-        from repro.perf.parallel import sharded_replay
-
-        return sharded_replay(
-            trace,
-            detector,
-            shards,
-            strategy=shard_strategy,
-            batched=batched,
-            batch_span=batch_span,
-            processes=shard_processes,
-            transport=shard_transport,
-        )
     events = trace.coalesced(batch_span) if batched else trace.events
     on_read = detector.on_read
     on_write = detector.on_write

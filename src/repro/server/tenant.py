@@ -235,7 +235,6 @@ class TenantSession:
             trace_name=f"tenant:{self.tenant}",
             batched=False,
             batch_span=None,
-            shards=1,
         )
         self.recovery["checkpoints_written"] += 1
         self.gc_checkpoints()
@@ -325,7 +324,6 @@ class TenantSession:
                     detector=self._label,
                     batched=False,
                     batch_span=None,
-                    shards=1,
                 )
             except CheckpointError:
                 self.recovery["bad_checkpoints"] += 1
@@ -417,7 +415,6 @@ class TenantSession:
             detector=self._label,
             batched=False,
             batch_span=None,
-            shards=1,
         )
         if int(manifest["event_cursor"]) != cursor:
             raise ValueError(

@@ -147,13 +147,3 @@ class EpochBitmap:
     @property
     def live_pages(self) -> int:
         return len(self._pages)
-
-    def page_live(self, page: int) -> bool:
-        """True iff ``page`` currently holds at least one set bit.
-
-        The sharded pipeline uses this to correct the double-count when
-        a 4 KiB bitmap page straddles a shard cut: both shards hold bits
-        of the same logical page, which the unsharded detector would
-        count once.
-        """
-        return page in self._pages

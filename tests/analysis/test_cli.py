@@ -195,9 +195,10 @@ def test_bench_command_writes_json(tmp_path, capsys):
     import json
 
     out = str(tmp_path / "BENCH_slowdown.json")
+    history = tmp_path / "BENCH_history.jsonl"
     rc = main(
         [
-            "bench", "--out", out,
+            "bench", "--out", out, "--history", str(history),
             "--workloads", "pbzip2",
             "--detectors", "fasttrack-word",
             "--scale", "0.2", "--repeats", "1",
@@ -211,9 +212,13 @@ def test_bench_command_writes_json(tmp_path, capsys):
     row = result["workloads"]["pbzip2"]["detectors"]["fasttrack-word"]
     assert row["conforms"]
     assert row["batched"]["events_per_sec"] > 0
+    (line,) = [json.loads(raw) for raw in history.read_text().splitlines()]
+    assert line["config"]["workloads"] == ["pbzip2"]
+    assert [r["detector"] for r in line["rows"]] == ["fasttrack-word"]
     captured = capsys.readouterr().out
     assert "pbzip2" in captured
     assert "conformance" in captured
+    assert f"appended run summary to {history}" in captured
 
 
 def test_bench_rejects_unknown_names(capsys):

@@ -20,7 +20,6 @@ CONFIG = {
     "seed": 1,
     "repeats": 3,
     "batch_span": 4096,
-    "shards": 4,
 }
 
 
@@ -94,6 +93,22 @@ def test_different_config_is_not_comparable():
     line = _line(10_000.0)
     assert check_history(line, prior) == []
     assert comparable_runs(line, prior) == 0
+
+
+def test_prior_line_with_shard_request_still_gates():
+    # Lines written while the bench could also time sharded replay
+    # carry "shards" in their config; their row metrics are plain
+    # single-detector figures, so they stay comparable.
+    prior = [_line(100_000.0, config=dict(CONFIG, shards=4))]
+    line = _line(50_000.0)
+    assert "shards" not in line["config"]
+    assert comparable_runs(line, prior) == 1
+    regs = check_history(line, prior)
+    assert [r["metric"] for r in regs] == [
+        "events_per_sec",
+        "events_per_sec_batched",
+    ]
+    assert check_history(_line(95_000.0), prior) == []
 
 
 def test_quick_and_full_runs_do_not_compare():
@@ -204,3 +219,24 @@ def test_cli_check_history_gates(tmp_path, capsys):
         fh.write(json.dumps(impossible) + "\n")
     assert cli.main(argv) == 1
     assert "REGRESSION" in capsys.readouterr().out
+
+
+def test_bench_history_line_shape(tmp_path):
+    from repro.perf.bench import append_history, run_bench
+
+    result = run_bench(
+        workloads=["streamcluster"],
+        detectors=["fasttrack-byte"],
+        scale=0.1,
+        repeats=1,
+    )
+    path = tmp_path / "hist.jsonl"
+    line = append_history(result, str(path))
+    assert line["schema"] == HISTORY_SCHEMA
+    assert line["git_rev"]
+    assert line["divergences"] == 0
+    (row,) = line["rows"]
+    assert row["workload"] == "streamcluster"
+    assert row["events_per_sec"] > 0
+    assert path.read_text().count("\n") == 1
+    assert load_history(str(path)) == [line]

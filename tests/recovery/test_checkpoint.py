@@ -1,5 +1,6 @@
 """Tests for the checkpoint file format (recovery/checkpoint.py)."""
 
+import json
 import os
 import zlib
 
@@ -195,3 +196,47 @@ def test_validate_manifest_dispatch_mode_mismatch(tmp_path):
         batched=True,
         batch_span=4096,
     )
+
+
+def _validate(manifest, path):
+    validate_manifest(
+        manifest,
+        path=str(path),
+        trace_digest="d" * 64,
+        detector="dynamic",
+        batched=False,
+        batch_span=None,
+    )
+
+
+def test_manifest_shard_count_mismatch_is_a_checkpoint_error(tmp_path):
+    """Older writers recorded a shard count; a state split across
+    several shard detectors must not restore into one detector, whether
+    it comes from disk or over the migration wire."""
+    path = tmp_path / "ckpt.ckpt"
+    _write(path)
+    blob = path.read_bytes()
+    newline = blob.index(b"\n", len(MAGIC))
+    manifest = json.loads(blob[len(MAGIC):newline])
+    hacked = json.dumps(
+        dict(manifest, shards=4), sort_keys=True, separators=(",", ":")
+    ).encode("ascii")
+    path.write_bytes(MAGIC + hacked + blob[newline:])
+    got, state = read_checkpoint(str(path))
+    assert got["shards"] == 4 and state == STATE
+    with pytest.raises(CheckpointError, match="4-way sharded"):
+        _validate(got, path)
+    for shards in (2, 0, "4", None):
+        with pytest.raises(CheckpointError, match="sharded"):
+            _validate(dict(manifest, shards=shards), path)
+    # an explicit single-detector count still loads
+    _validate(dict(manifest, shards=1), path)
+
+
+def test_manifest_without_shard_field_loads(tmp_path):
+    path = tmp_path / "ckpt.ckpt"
+    written = _write(path)
+    assert "shards" not in written
+    got, state = read_checkpoint(str(path))
+    assert "shards" not in got and state == STATE
+    _validate(got, path)
