@@ -19,6 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from repro.detectors.base import DetectorWrapper
 from repro.detectors.registry import create_detector
 from repro.runtime.trace import Trace
 from repro.runtime.vm import bare_replay, replay
@@ -70,105 +71,41 @@ class Measurement:
         return int(v) if v is not None else None
 
 
-class TimedDetector:
+class TimedDetector(DetectorWrapper):
     """Per-callback timing wrapper: counts and accumulated seconds for
     every callback kind, exposed as ``statistics()["perf"]``.
 
     The instrumentation is two ``perf_counter`` reads per callback — a
     cost profile, not a benchmark: use it to see *where* a detector
     spends its replay time (read path vs write path vs sync), and use
-    plain :func:`replay` wall times for slowdown figures.
+    plain :func:`replay` wall times for slowdown figures.  ``finish``
+    is forwarded untimed.
     """
 
-    _KINDS = (
-        "on_read",
-        "on_write",
-        "on_read_batch",
-        "on_write_batch",
-        "check_access",
-        "on_acquire",
-        "on_release",
-        "on_fork",
-        "on_join",
-        "on_alloc",
-        "on_free",
-    )
+    label = "timed"
 
     def __init__(self, inner):
-        self.inner = inner
-        self.calls: Dict[str, int] = {k: 0 for k in self._KINDS}
-        self.seconds: Dict[str, float] = {k: 0.0 for k in self._KINDS}
+        super().__init__(inner)
+        self.calls: Dict[str, int] = {}
+        self.seconds: Dict[str, float] = {}
 
-    @property
-    def name(self) -> str:
-        return f"timed({self.inner.name})"
-
-    @property
-    def races(self):
-        return self.inner.races
-
-    def _timed(self, kind: str, fn, *args) -> None:
+    def _call(self, op: str, *args) -> None:
+        fn = getattr(self.inner, op)
+        if op == "finish":
+            fn()
+            return
         t0 = time.perf_counter()
         fn(*args)
-        self.seconds[kind] += time.perf_counter() - t0
-        self.calls[kind] += 1
-
-    def on_read(self, tid, addr, size, site=0):
-        self._timed("on_read", self.inner.on_read, tid, addr, size, site)
-
-    def on_write(self, tid, addr, size, site=0):
-        self._timed("on_write", self.inner.on_write, tid, addr, size, site)
-
-    def on_read_batch(self, tid, addr, size, width, site=0):
-        self._timed(
-            "on_read_batch", self.inner.on_read_batch, tid, addr, size, width, site
-        )
-
-    def on_write_batch(self, tid, addr, size, width, site=0):
-        self._timed(
-            "on_write_batch", self.inner.on_write_batch, tid, addr, size, width, site
-        )
-
-    def check_access(self, tid, addr, size, site=0, is_write=False):
-        self._timed(
-            "check_access", self.inner.check_access, tid, addr, size, site,
-            is_write,
-        )
-
-    @property
-    def supports_check_access(self):
-        return getattr(self.inner, "supports_check_access", False)
-
-    def on_acquire(self, tid, sync_id, is_lock=1):
-        self._timed("on_acquire", self.inner.on_acquire, tid, sync_id, is_lock)
-
-    def on_release(self, tid, sync_id, is_lock=1):
-        self._timed("on_release", self.inner.on_release, tid, sync_id, is_lock)
-
-    def on_fork(self, tid, child_tid):
-        self._timed("on_fork", self.inner.on_fork, tid, child_tid)
-
-    def on_join(self, tid, target_tid):
-        self._timed("on_join", self.inner.on_join, tid, target_tid)
-
-    def on_alloc(self, tid, addr, size):
-        self._timed("on_alloc", self.inner.on_alloc, tid, addr, size)
-
-    def on_free(self, tid, addr, size):
-        self._timed("on_free", self.inner.on_free, tid, addr, size)
-
-    def finish(self):
-        self.inner.finish()
+        self.seconds[op] = self.seconds.get(op, 0.0) + time.perf_counter() - t0
+        self.calls[op] = self.calls.get(op, 0) + 1
 
     def perf(self) -> Dict[str, object]:
         """The timing breakdown: per-callback calls/seconds plus totals."""
-        calls = {k: v for k, v in self.calls.items() if v}
-        seconds = {k: self.seconds[k] for k in calls}
-        total_s = sum(seconds.values())
-        total_c = sum(calls.values())
+        total_s = sum(self.seconds.values())
+        total_c = sum(self.calls.values())
         return {
-            "calls": calls,
-            "seconds": seconds,
+            "calls": dict(self.calls),
+            "seconds": dict(self.seconds),
             "total_calls": total_c,
             "total_seconds": total_s,
             "mean_us_per_call": (1e6 * total_s / total_c) if total_c else 0.0,
@@ -178,9 +115,6 @@ class TimedDetector:
         stats = dict(self.inner.statistics())
         stats["perf"] = self.perf()
         return stats
-
-    def __getattr__(self, attr: str):
-        return getattr(self.inner, attr)
 
 
 def base_memory_of(trace: Trace) -> int:

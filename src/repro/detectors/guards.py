@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import traceback as _traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.state_machine import PRIVATE, RACE, SHARED
+from repro.detectors.base import DetectorWrapper
 
 
 @dataclass
@@ -115,7 +116,7 @@ LOW_WATERMARK = 0.9
 MAX_WIDEN_GAP = 1024
 
 
-class GuardedDetector:
+class GuardedDetector(DetectorWrapper):
     """Wrap ``inner`` with exception capture and an optional budget.
 
     Drop-in for the replay VM: the callback surface, ``races``,
@@ -125,6 +126,8 @@ class GuardedDetector:
     anything for detectors exposing dynamic-granularity group managers
     (``fasttrack-dynamic``).
     """
+
+    label = "guarded"
 
     def __init__(
         self,
@@ -136,7 +139,7 @@ class GuardedDetector:
             raise ValueError(f"shadow_budget must be >= 1, got {shadow_budget}")
         if not 0.0 < low_watermark <= 1.0:
             raise ValueError(f"low_watermark must be in (0, 1], got {low_watermark}")
-        self.inner = inner
+        super().__init__(inner)
         self.shadow_budget = shadow_budget
         self._target = (
             max(int(shadow_budget * low_watermark), 1)
@@ -157,11 +160,6 @@ class GuardedDetector:
         )
         self._budgeted = shadow_budget is not None and bool(self._managers)
 
-    # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return f"guarded({self.inner.name})"
-
     @property
     def crash(self) -> Optional[DetectorCrash]:
         return self.guard_stats.crash
@@ -169,10 +167,6 @@ class GuardedDetector:
     @property
     def crashed(self) -> bool:
         return self.guard_stats.crash is not None
-
-    @property
-    def races(self) -> List:
-        return self.inner.races
 
     # ------------------------------------------------------------------
     # crash capture
@@ -187,73 +181,22 @@ class GuardedDetector:
             traceback=_traceback.format_exc(),
         )
 
-    def _dispatch(self, op: str, *args) -> None:
+    def _call(self, op: str, *args) -> None:
+        # Every callback, the batched and check-only ones included, and
+        # finish keep crash capture; finish is not an event and leaves
+        # the budget alone.
         if self.guard_stats.crash is not None:
             return  # inert after a crash: state may be corrupt
-        self._events += 1
+        event = op != "finish"
+        if event:
+            self._events += 1
         try:
             getattr(self.inner, op)(*args)
         except Exception as exc:  # noqa: BLE001 - the whole point
             self._capture(op, exc)
             return
-        if self._budgeted:
+        if event and self._budgeted:
             self._enforce_budget()
-
-    # -- the full callback surface --------------------------------------
-    def on_read(self, tid: int, addr: int, size: int, site: int = 0) -> None:
-        self._dispatch("on_read", tid, addr, size, site)
-
-    def on_write(self, tid: int, addr: int, size: int, site: int = 0) -> None:
-        self._dispatch("on_write", tid, addr, size, site)
-
-    def on_read_batch(
-        self, tid: int, addr: int, size: int, width: int, site: int = 0
-    ) -> None:
-        # Explicit (not via __getattr__) so batched replay keeps crash
-        # capture and budget enforcement; inner's own override — or the
-        # base-class ranged default — decides the semantics.
-        self._dispatch("on_read_batch", tid, addr, size, width, site)
-
-    def on_write_batch(
-        self, tid: int, addr: int, size: int, width: int, site: int = 0
-    ) -> None:
-        self._dispatch("on_write_batch", tid, addr, size, width, site)
-
-    def check_access(
-        self, tid: int, addr: int, size: int, site: int = 0,
-        is_write: bool = False,
-    ) -> None:
-        self._dispatch("check_access", tid, addr, size, site, is_write)
-
-    @property
-    def supports_check_access(self) -> bool:
-        return getattr(self.inner, "supports_check_access", False)
-
-    def on_acquire(self, tid: int, sync_id: int, is_lock: int = 1) -> None:
-        self._dispatch("on_acquire", tid, sync_id, is_lock)
-
-    def on_release(self, tid: int, sync_id: int, is_lock: int = 1) -> None:
-        self._dispatch("on_release", tid, sync_id, is_lock)
-
-    def on_fork(self, tid: int, child_tid: int) -> None:
-        self._dispatch("on_fork", tid, child_tid)
-
-    def on_join(self, tid: int, target_tid: int) -> None:
-        self._dispatch("on_join", tid, target_tid)
-
-    def on_alloc(self, tid: int, addr: int, size: int) -> None:
-        self._dispatch("on_alloc", tid, addr, size)
-
-    def on_free(self, tid: int, addr: int, size: int) -> None:
-        self._dispatch("on_free", tid, addr, size)
-
-    def finish(self) -> None:
-        if self.guard_stats.crash is not None:
-            return
-        try:
-            self.inner.finish()
-        except Exception as exc:  # noqa: BLE001
-            self._capture("finish", exc)
 
     def statistics(self) -> Dict[str, object]:
         try:
@@ -393,23 +336,6 @@ class GuardedDetector:
             self.inner.restore_state(state)
         if self._budgeted and self.guard_stats.crash is None:
             self._enforce_budget()
-
-    # Anything else (check_invariants, config, memory, ...) passes
-    # through, so the wrapper can stand in for the inner detector in
-    # analysis code.  Dunder lookups are explicitly refused: copy and
-    # pickle probe for optional protocol hooks (__deepcopy__,
-    # __getstate__, __reduce_ex__, ...) with getattr, and delegating
-    # those to the inner detector would make such probes silently
-    # operate on — or infinitely recurse into — the wrapped object.
-    def __getattr__(self, attr: str):
-        if attr.startswith("__") and attr.endswith("__"):
-            raise AttributeError(attr)
-        inner = self.__dict__.get("inner")
-        if inner is None:
-            # Mid-(un)pickle/copy the instance dict may be empty;
-            # recursing through self.inner would never terminate.
-            raise AttributeError(attr)
-        return getattr(inner, attr)
 
 
 def guard_detector(

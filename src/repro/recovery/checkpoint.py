@@ -29,9 +29,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import tempfile
 import zlib
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
+
+from repro.detectors.guards import GuardedDetector
 
 MAGIC = b"RRCKPT1\n"
 
@@ -41,9 +44,99 @@ MAGIC = b"RRCKPT1\n"
 SCHEMA_VERSION = 1
 
 
+#: checkpoint file names: ``ckpt-<event cursor>.ckpt``
+_CKPT_RE = re.compile(r"^ckpt-(\d+)\.ckpt$")
+
+
 class CheckpointError(Exception):
     """A checkpoint file that must not be restored (corrupt, truncated,
     wrong schema version, or written for a different trace/detector)."""
+
+
+class CheckpointDir:
+    """One session's checkpoint generations: ``ckpt-<cursor>.ckpt``
+    files in ``path``, keyed by the event cursor they were taken at.
+
+    Shared by the replay session and the service tenants.  Files that
+    failed to load are discarded and never offered again, even when
+    deleting them failed.
+    """
+
+    def __init__(self, path: str, keep: int):
+        self.path = path
+        self.keep = keep
+        self._bad: set = set()
+
+    def path_for(self, cursor: int) -> str:
+        return os.path.join(self.path, f"ckpt-{cursor:012d}.ckpt")
+
+    @staticmethod
+    def cursor_of(path: str) -> int:
+        """The event cursor a checkpoint path was written at."""
+        return int(_CKPT_RE.match(os.path.basename(path)).group(1))
+
+    def paths(self) -> List[str]:
+        """Existing non-discarded checkpoint paths, oldest first."""
+        try:
+            names = os.listdir(self.path)
+        except OSError:
+            return []
+        hits = []
+        for name in names:
+            m = _CKPT_RE.match(name)
+            if m:
+                path = os.path.join(self.path, name)
+                if path not in self._bad:
+                    hits.append((int(m.group(1)), path))
+        return [path for _c, path in sorted(hits)]
+
+    def discard(self, path: str) -> None:
+        """Drop a checkpoint that failed to load: delete the file and
+        remember it so :meth:`paths` skips it even if deletion failed."""
+        self._bad.add(path)
+        try:
+            os.unlink(path)
+        except OSError:
+            pass
+
+    def prune(self) -> int:
+        """Keep only the newest ``keep`` generations; returns the number
+        of files removed.
+
+        Each deletion is a single ``unlink`` (atomic — a crash mid-prune
+        leaves extra generations, never a half-deleted one), oldest
+        first, so the retained window is always the newest suffix and
+        generation fallback keeps working.  A file that cannot be
+        removed is still listed next time and retried then.
+        """
+        removed = 0
+        for path in self.paths()[: -self.keep]:
+            try:
+                os.unlink(path)
+                removed += 1
+            except OSError:
+                continue
+        return removed
+
+
+def wrap_detector(inner, shadow_budget: Optional[int]):
+    """``inner`` as a session runs it: wrapped in a
+    :class:`~repro.detectors.guards.GuardedDetector` when a shadow
+    budget is set."""
+    if shadow_budget is None:
+        return inner
+    return GuardedDetector(inner, shadow_budget=shadow_budget)
+
+
+def restore_detector(det, state: dict) -> None:
+    """Restore checkpoint ``state`` into ``det``.
+
+    A guarded state (from a degraded or budgeted attempt) restores into
+    an unguarded detector as its inner state.
+    """
+    if state.get("kind") == "guarded" and not isinstance(det, GuardedDetector):
+        state = state["inner"]
+    det.restore_state(state)
 
 
 def _dumps(obj: object) -> bytes:

@@ -31,31 +31,31 @@ loop.
 
 from __future__ import annotations
 
-import os
-import re
 import signal
 import threading
 import time
+from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Callable, List, Optional, Union
+from itertools import accumulate
+from typing import Callable, List, Optional, Sequence, Union
 
-from repro.detectors.guards import GuardedDetector
 from repro.perf.batch import DEFAULT_BATCH_SPAN, event_weight
 from repro.recovery.checkpoint import (
+    CheckpointDir,
     CheckpointError,
     read_checkpoint,
+    restore_detector,
     validate_manifest,
+    wrap_detector,
     write_checkpoint,
 )
 from repro.recovery.watchdog import shared_watchdog
 from repro.runtime.faults import FaultPlan
 from repro.runtime.trace import Trace
-from repro.runtime.vm import ReplayResult, dispatch_event
+from repro.runtime.vm import ReplayResult, drive, handlers
 
 #: Sentinel for "resume from the newest good checkpoint, if any".
 LATEST = "latest"
-
-_CKPT_RE = re.compile(r"^ckpt-(\d+)\.ckpt$")
 
 
 class DetectorKilled(Exception):
@@ -130,8 +130,7 @@ class DetectionSession:
         #: :class:`~repro.recovery.watchdog.Deadline` so its timeout works
         #: off the main thread, where SIGALRM cannot.
         self.abort_check: Optional[Callable[[], bool]] = None
-        #: checkpoints discarded as bad — never offered again
-        self._bad: set = set()
+        self._store = CheckpointDir(checkpoint_dir, keep_checkpoints)
         # sha256 of the trace's canonical binary form (Trace.binlog):
         # manifests commit to the exact bytes the codec round-trips,
         # not to Python repr formatting.
@@ -162,10 +161,7 @@ class DetectionSession:
         return create_detector(self.detector, suppress=self.suppress)
 
     def _make_detector(self):
-        inner = self._make_inner()
-        if self.shadow_budget is not None:
-            return GuardedDetector(inner, shadow_budget=self.shadow_budget)
-        return inner
+        return wrap_detector(self._make_inner(), self.shadow_budget)
 
     def _detector_label(self) -> str:
         """The *inner* detector name — stable across degradation, so a
@@ -176,23 +172,9 @@ class DetectionSession:
     # ------------------------------------------------------------------
     # checkpoint files
     # ------------------------------------------------------------------
-    def _checkpoint_path(self, events_done: int) -> str:
-        return os.path.join(self.checkpoint_dir, f"ckpt-{events_done:012d}.ckpt")
-
     def checkpoints(self) -> List[str]:
         """Existing non-discarded checkpoint paths, oldest first."""
-        try:
-            names = os.listdir(self.checkpoint_dir)
-        except OSError:
-            return []
-        hits = []
-        for name in names:
-            m = _CKPT_RE.match(name)
-            if m:
-                path = os.path.join(self.checkpoint_dir, name)
-                if path not in self._bad:
-                    hits.append((int(m.group(1)), path))
-        return [path for _n, path in sorted(hits)]
+        return self._store.paths()
 
     def latest_checkpoint(self) -> Optional[str]:
         """Newest non-discarded checkpoint path, or None."""
@@ -200,22 +182,9 @@ class DetectionSession:
         return found[-1] if found else None
 
     def discard_checkpoint(self, path: str) -> None:
-        """Drop a checkpoint that failed to load: delete the file and
-        remember it so :meth:`latest_checkpoint` falls back past it even
-        if deletion failed."""
-        self._bad.add(path)
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-    def _prune(self) -> None:
-        found = self.checkpoints()
-        for path in found[: -self.keep_checkpoints]:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        """Drop a checkpoint that failed to load; it is never offered
+        again, even if deleting the file failed."""
+        self._store.discard(path)
 
     def resolve_resume(self, resume: Optional[str]) -> Optional[str]:
         """``None`` → fresh start, :data:`LATEST` → newest checkpoint
@@ -248,11 +217,28 @@ class DetectionSession:
             return self.trace.coalesced(self.batch_span)
         return self.trace.events
 
+    def _events_before(self, feed: List[tuple]) -> Sequence[int]:
+        """Original trace events covered by feed items ``[0, i)``, for
+        every ``i`` in ``[0, len(feed)]`` (non-decreasing, so a segment
+        end is one bisection)."""
+        if not self.batched:
+            return range(len(feed) + 1)
+        return list(accumulate(map(event_weight, feed), initial=0))
+
     @property
     def _effective_span(self) -> Optional[int]:
         if not self.batched:
             return None
         return DEFAULT_BATCH_SPAN if self.batch_span is None else self.batch_span
+
+    def _kill_due(self, events_done: int) -> None:
+        """Fire the next planned kill once ``events_done`` reaches it."""
+        kills = self._kills
+        if self._next_kill < len(kills) and events_done >= kills[self._next_kill]:
+            at = kills[self._next_kill]
+            self._next_kill += 1
+            self.recovery["kills_fired"] += 1
+            raise DetectorKilled(at)
 
     def run(self, resume: Optional[str] = None) -> ReplayResult:
         """One attempt: optionally restore, replay to the end, finish.
@@ -262,6 +248,11 @@ class DetectionSession:
         whatever a genuinely crashing detector raises.  The supervisor
         turns those into retries; calling this directly gives at-most-
         one-attempt semantics (the CLI's plain ``--resume-from`` path).
+
+        The feed runs through the driver segment by segment; a segment
+        ends at the first feed boundary at or past the next checkpoint
+        mark or kill point, and is a single item while ``abort_check``
+        is set, so the deadline is polled at every feed boundary.
         """
         rec = self.recovery
         feed = self._feed()
@@ -279,14 +270,7 @@ class DetectionSession:
                 batched=self.batched,
                 batch_span=self._effective_span,
             )
-            if state.get("kind") == "guarded" and not isinstance(
-                det, GuardedDetector
-            ):
-                # Checkpoint from a degraded attempt, session since
-                # reconfigured unguarded: the inner state is the
-                # detector state.
-                state = state["inner"]
-            det.restore_state(state)
+            restore_detector(det, state)
             cursor = manifest["feed_cursor"]
             events_done = manifest["event_cursor"]
             rec["resumes"] += 1
@@ -295,27 +279,28 @@ class DetectionSession:
         next_mark = (events_done // every + 1) * every
         kills = self._kills
         abort_check = self.abort_check
+        table = handlers(det)
         n = len(feed)
+        done = self._events_before(feed)
         t0 = time.perf_counter()
         while cursor < n:
             if abort_check is not None and abort_check():
                 raise WatchdogTimeout("attempt aborted by deadline")
-            if self._next_kill < len(kills) and events_done >= kills[self._next_kill]:
-                at = kills[self._next_kill]
-                self._next_kill += 1
-                rec["kills_fired"] += 1
-                raise DetectorKilled(at)
-            dispatch_event(det, feed[cursor])
-            events_done += event_weight(feed[cursor])
-            cursor += 1
+            self._kill_due(events_done)
+            if abort_check is not None:
+                stop = cursor + 1
+            else:
+                target = next_mark
+                if self._next_kill < len(kills):
+                    target = min(target, kills[self._next_kill])
+                stop = min(bisect_left(done, target, cursor + 1), n)
+            drive(feed, table, cursor, stop)
+            cursor = stop
+            events_done = done[stop]
             if events_done >= next_mark:
                 self._write(det, cursor, events_done)
                 next_mark = (events_done // every + 1) * every
-        if self._next_kill < len(kills) and events_done >= kills[self._next_kill]:
-            at = kills[self._next_kill]
-            self._next_kill += 1
-            rec["kills_fired"] += 1
-            raise DetectorKilled(at)
+        self._kill_due(events_done)
         det.finish()
         wall = time.perf_counter() - t0
         stats = dict(det.statistics())
@@ -332,7 +317,7 @@ class DetectionSession:
 
     def _write(self, det, feed_cursor: int, events_done: int) -> None:
         write_checkpoint(
-            self._checkpoint_path(events_done),
+            self._store.path_for(events_done),
             det.snapshot_state(),
             detector=self._label,
             event_cursor=events_done,
@@ -343,7 +328,7 @@ class DetectionSession:
             batch_span=self._effective_span,
         )
         self.recovery["checkpoints_written"] += 1
-        self._prune()
+        self._store.prune()
 
 
 class Supervisor:

@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 import shutil
+import tempfile
 import threading
 import time
 from typing import Dict, List, Optional, Tuple
@@ -86,11 +87,10 @@ def _tenant_events(workload: str, scale: float, seed: int) -> List[tuple]:
 def _baseline(detector: str, events: List[tuple]) -> dict:
     """The uninterrupted twin: same detector, same events, in process."""
     from repro.detectors.registry import create_detector
-    from repro.runtime.vm import dispatch_event
+    from repro.runtime.vm import drive, handlers
 
     det = create_detector(DETECTOR_ALIASES.get(detector, detector))
-    for ev in events:
-        dispatch_event(det, ev)
+    drive(events, handlers(det))
     det.finish()
     return {
         "races": [r.as_list() for r in det.races],
@@ -242,9 +242,11 @@ def run_loadgen(
 
     With ``address=None`` an in-process daemon is started on an
     ephemeral port and torn down afterwards — the default for tests and
-    CI.  Point ``address`` at a running ``repro-race serve`` to bench a
-    real deployment (the ``stall-client`` fault is skipped unless that
-    server enforces an idle timeout).
+    CI.  Without a ``server_config`` its checkpoints go to a temporary
+    directory removed at teardown.  Point ``address`` at a running
+    ``repro-race serve`` to bench a real deployment (the
+    ``stall-client`` fault is skipped unless that server enforces an
+    idle timeout).
     """
     if quick:
         # 4 tenants = one clean + kill + drop-connection + flood, so the
@@ -254,10 +256,14 @@ def run_loadgen(
         batch_events = min(batch_events, 512)
 
     handle: Optional[ServerThread] = None
+    config: Optional[ServerConfig] = None
+    scratch: Optional[str] = None
     stall_seconds = 0.0
     if address is None:
+        if server_config is None:
+            scratch = tempfile.mkdtemp(prefix="repro-loadgen-")
         config = server_config or ServerConfig(
-            checkpoint_root=".repro-race/server-ckpts",
+            checkpoint_root=scratch,
             checkpoint_every=max(256, batch_events // 2),
             idle_timeout=0.5,
             detach_ttl=10.0,
@@ -268,47 +274,52 @@ def run_loadgen(
             high_watermark=96 << 10,
             low_watermark=32 << 10,
         )
-        handle = ServerThread(config).start()
-        address = handle.address
-        stall_seconds = (config.idle_timeout or 0.5) * 2.5
-    in_process = handle is not None
+    try:
+        if config is not None:
+            handle = ServerThread(config).start()
+            address = handle.address
+            stall_seconds = (config.idle_timeout or 0.5) * 2.5
+        in_process = handle is not None
 
-    runs: List[_TenantRun] = []
-    for i in range(tenants):
-        fault = _FAULT_CYCLE[i % len(_FAULT_CYCLE)] if faults else None
-        if fault == STALL_CLIENT and not in_process:
-            fault = DROP_CONNECTION  # idle timeout unknown remotely
-        runs.append(
-            _TenantRun(
-                i,
-                address,
-                _tenant_events(workload, scale, seed + i),
-                detector,
-                batch_events,
-                fault,
-                stall_seconds,
-                timeout,
+        runs: List[_TenantRun] = []
+        for i in range(tenants):
+            fault = _FAULT_CYCLE[i % len(_FAULT_CYCLE)] if faults else None
+            if fault == STALL_CLIENT and not in_process:
+                fault = DROP_CONNECTION  # idle timeout unknown remotely
+            runs.append(
+                _TenantRun(
+                    i,
+                    address,
+                    _tenant_events(workload, scale, seed + i),
+                    detector,
+                    batch_events,
+                    fault,
+                    stall_seconds,
+                    timeout,
+                )
             )
+
+        t0 = time.perf_counter()
+        for run in runs:
+            run.start()
+        for run in runs:
+            run.join(timeout=300)
+        wall = time.perf_counter() - t0
+
+        errors = [f"{r.name}: {r.error!r}" for r in runs if r.error]
+        if errors:
+            raise RuntimeError("loadgen tenants failed: " + "; ".join(errors))
+
+        stats = (
+            handle.server.snapshot_stats()
+            if handle is not None
+            else server_stats(address, timeout=timeout)
         )
-
-    t0 = time.perf_counter()
-    for run in runs:
-        run.start()
-    for run in runs:
-        run.join(timeout=300)
-    wall = time.perf_counter() - t0
-
-    errors = [f"{r.name}: {r.error!r}" for r in runs if r.error]
-    if errors:
-        raise RuntimeError("loadgen tenants failed: " + "; ".join(errors))
-
-    stats = (
-        handle.server.snapshot_stats()
-        if handle is not None
-        else server_stats(address, timeout=timeout)
-    )
-    if handle is not None:
-        handle.stop()
+    finally:
+        if handle is not None:
+            handle.stop()
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
 
     all_latencies = [ns for r in runs for ns in r.latencies_ns]
     events_total = sum(len(r.events) for r in runs)

@@ -75,7 +75,9 @@ def test_bare_replay_dispatch_arity_matches_replay(monkeypatch):
 
     bare_calls = []
     monkeypatch.setattr(
-        vm._NullSink, "touch", staticmethod(lambda *a: bare_calls.append(a))
+        vm,
+        "NULL_HANDLERS",
+        (lambda *a: bare_calls.append(a),) * len(vm.NULL_HANDLERS),
     )
     vm.bare_replay(trace)
 

@@ -26,20 +26,6 @@ def _events(name="streamcluster", scale=0.05, seed=0):
     return [tuple(ev) for ev in build_trace(name, scale=scale, seed=seed).events]
 
 
-def _baseline(events, detector="fasttrack-byte"):
-    from repro.detectors.registry import create_detector
-    from repro.runtime.vm import dispatch_event
-
-    det = create_detector(detector)
-    for ev in events:
-        dispatch_event(det, ev)
-    det.finish()
-    return {
-        "races": [r.as_list() for r in det.races],
-        "stats": det.statistics(),
-    }
-
-
 def _body(result):
     return P.dumps_canonical(
         {"races": result["races"], "stats": result["stats"]}
@@ -90,7 +76,7 @@ class _Raw:
 
 
 class TestHandshake:
-    def test_keyed_session_byte_identical(self, tmp_path):
+    def test_keyed_session_byte_identical(self, tmp_path, local_baseline):
         events = _events()
         with _server(tmp_path) as h:
             det = Detector(
@@ -100,7 +86,7 @@ class TestHandshake:
             result = det.finish()
             assert h.server.stats["auth_challenges"] == 1
             assert h.server.stats["auth_failures"] == 0
-        assert _body(result) == P.dumps_canonical(_baseline(events))
+        assert _body(result) == P.dumps_canonical(local_baseline(events))
 
     def test_wrong_key_rejected(self, tmp_path):
         with _server(tmp_path) as h:
@@ -136,7 +122,7 @@ class TestHandshake:
             assert ftype == P.T_ERROR
             assert body["code"] == P.E_AUTH
 
-    def test_unkeyed_daemon_never_challenges(self, tmp_path):
+    def test_unkeyed_daemon_never_challenges(self, tmp_path, local_baseline):
         events = _events()
         with _server(tmp_path, auth_keys=None) as h:
             det = Detector(
@@ -145,11 +131,13 @@ class TestHandshake:
             det.feed(events)
             result = det.finish()
             assert h.server.stats["auth_challenges"] == 0
-        assert _body(result) == P.dumps_canonical(_baseline(events))
+        assert _body(result) == P.dumps_canonical(local_baseline(events))
 
 
 class TestSealedFrames:
-    def test_tampered_frame_poisons_only_its_session(self, tmp_path):
+    def test_tampered_frame_poisons_only_its_session(
+        self, tmp_path, local_baseline
+    ):
         events = _events()
         half = len(events) // 2
         with _server(tmp_path) as h:
@@ -177,7 +165,7 @@ class TestSealedFrames:
             good.feed(events[half:])
             result = good.finish()
             assert h.server.stats["tamper_rejects"] == 1
-        assert _body(result) == P.dumps_canonical(_baseline(events))
+        assert _body(result) == P.dumps_canonical(local_baseline(events))
 
     def test_replayed_frame_rejected(self, tmp_path):
         """A captured sealed frame re-sent verbatim fails the sequence
@@ -214,7 +202,7 @@ class TestSealedFrames:
 
 
 class TestKeyRotation:
-    def test_rotate_without_disconnect(self, tmp_path):
+    def test_rotate_without_disconnect(self, tmp_path, local_baseline):
         events = _events()
         half = len(events) // 2
         with _server(tmp_path) as h:
@@ -230,7 +218,7 @@ class TestKeyRotation:
             result = det.finish()
             assert h.server.stats["rekeys"] == 1
             assert h.server.stats["reconnects"] == 0
-        assert _body(result) == P.dumps_canonical(_baseline(events))
+        assert _body(result) == P.dumps_canonical(local_baseline(events))
 
     def test_rotation_proof_must_use_accepted_key(self, tmp_path):
         """REKEY is fire-and-forget client-side; rotating to a key the

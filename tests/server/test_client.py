@@ -23,20 +23,6 @@ def _events(name="streamcluster", scale=0.05, seed=0):
     return [tuple(ev) for ev in build_trace(name, scale=scale, seed=seed).events]
 
 
-def _baseline(events, detector="fasttrack-byte"):
-    from repro.detectors.registry import create_detector
-    from repro.runtime.vm import dispatch_event
-
-    det = create_detector(detector)
-    for ev in events:
-        dispatch_event(det, ev)
-    det.finish()
-    return {
-        "races": [r.as_list() for r in det.races],
-        "stats": det.statistics(),
-    }
-
-
 def _body(result):
     return P.dumps_canonical(
         {"races": result["races"], "stats": result["stats"]}
@@ -85,7 +71,7 @@ class TestCircuitBreaker:
 
 
 class TestFailover:
-    def test_dead_first_host_fails_over(self, tmp_path):
+    def test_dead_first_host_fails_over(self, tmp_path, local_baseline):
         events = _events()
         dead = _dead_port()
         with _server(tmp_path) as h:
@@ -98,7 +84,7 @@ class TestFailover:
             assert det.breakers[dead].failures == 1
             det.feed(events)
             result = det.finish()
-        assert _body(result) == P.dumps_canonical(_baseline(events))
+        assert _body(result) == P.dumps_canonical(local_baseline(events))
 
     def test_open_circuit_skips_dead_host(self, tmp_path):
         """Once the dead host's breaker is open, reconnects go straight
@@ -161,7 +147,7 @@ class TestFailover:
                 timeout=2.0,
             )
 
-    def test_migrated_peer_moves_to_front(self, tmp_path):
+    def test_migrated_peer_moves_to_front(self, tmp_path, local_baseline):
         """After MIGRATED, the new host leads the client's list — a
         later reconnect prefers where the session actually lives."""
         events = _events()
@@ -181,7 +167,7 @@ class TestFailover:
             result = det.finish()
             assert det.migrations_seen == 1
             assert det.addresses[0] == b.address
-        assert _body(result) == P.dumps_canonical(_baseline(events))
+        assert _body(result) == P.dumps_canonical(local_baseline(events))
 
 
 class TestBackoff:

@@ -113,6 +113,32 @@ def test_soak_clean_run_has_no_recovery_noise(tmp_path):
     assert body["faults_injected"] == {}
 
 
+def test_in_process_daemon_leaves_no_checkpoints_behind(tmp_path, monkeypatch):
+    """Without a server config the throwaway daemon checkpoints into a
+    temporary directory that teardown removes — nothing lands under the
+    working directory."""
+    import tempfile
+
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    monkeypatch.chdir(tmp_path)
+    body = run_loadgen(
+        None,
+        tenants=1,
+        workload="streamcluster",
+        scale=0.05,
+        detector="fasttrack",
+        batch_events=128,
+        faults=False,
+        out=None,
+    )
+    assert body["recovery_divergences"] == 0
+    assert body["server"]["sessions_finished"] == 1
+    assert not (tmp_path / ".repro-race").exists()
+    assert list(scratch.iterdir()) == []
+
+
 class TestChaosSoak:
     def test_mini_soak_survives_chaos(self, tmp_path):
         """A short fully-loaded soak against the daemon pair: live
@@ -129,7 +155,7 @@ class TestChaosSoak:
             out=str(tmp_path / "BENCH_server.json"),
         )
         soak = body["soak"]
-        assert body["recovery_divergences"] == 0
+        assert body["recovery_divergences"] == 0, soak["divergence_notes"]
         assert soak["tenant_error_count"] == 0, soak["tenant_errors"]
         assert soak["chaos_errors"] == []
         assert soak["cycles"] >= 1

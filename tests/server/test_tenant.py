@@ -30,20 +30,6 @@ def _stream(session, events, chunk=256):
         session.commit_chunk(rows)
 
 
-def _baseline(events):
-    from repro.detectors.registry import create_detector
-    from repro.runtime.vm import dispatch_event
-
-    det = create_detector(DETECTOR)
-    for ev in events:
-        dispatch_event(det, ev)
-    det.finish()
-    return {
-        "races": [r.as_list() for r in det.races],
-        "stats": det.statistics(),
-    }
-
-
 def _result_body(result):
     return dumps_canonical({"races": result["races"], "stats": result["stats"]})
 
@@ -61,11 +47,13 @@ def _session(tmp_path, **kw):
 
 
 class TestStreaming:
-    def test_uninterrupted_matches_local_replay(self, tmp_path, events):
+    def test_uninterrupted_matches_local_replay(
+        self, tmp_path, events, local_baseline
+    ):
         session = _session(tmp_path)
         _stream(session, events)
         result = session.finish()
-        assert _result_body(result) == dumps_canonical(_baseline(events))
+        assert _result_body(result) == dumps_canonical(local_baseline(events))
         assert result["events"] == len(events)
 
     def test_checkpoint_cadence(self, tmp_path, events):
@@ -106,7 +94,9 @@ class TestStreaming:
 
 
 class TestMigration:
-    def test_kill_and_resume_byte_identical(self, tmp_path, events):
+    def test_kill_and_resume_byte_identical(
+        self, tmp_path, events, local_baseline
+    ):
         session = _session(tmp_path, kill_at=[700, 1900])
         kills = 0
         for start in range(0, len(events), 256):
@@ -122,9 +112,11 @@ class TestMigration:
         result = session.finish()
         assert kills == 2
         assert result["recovery"]["resumes"] == 2
-        assert _result_body(result) == dumps_canonical(_baseline(events))
+        assert _result_body(result) == dumps_canonical(local_baseline(events))
 
-    def test_abandoned_dispatch_does_not_corrupt(self, tmp_path, events):
+    def test_abandoned_dispatch_does_not_corrupt(
+        self, tmp_path, events, local_baseline
+    ):
         """A wedged dispatch is abandoned mid-chunk: nothing committed,
         resume rebuilds the boundary state exactly."""
         session = _session(tmp_path)
@@ -136,10 +128,10 @@ class TestMigration:
         session.resume()
         _stream(session, events[half:], chunk=256)
         result = session.finish()
-        assert _result_body(result) == dumps_canonical(_baseline(events))
+        assert _result_body(result) == dumps_canonical(local_baseline(events))
 
     def test_corrupt_checkpoint_falls_back_a_generation(
-        self, tmp_path, events
+        self, tmp_path, events, local_baseline
     ):
         session = _session(tmp_path, checkpoint_every=300)
         _stream(session, events[:1500], chunk=100)
@@ -151,16 +143,18 @@ class TestMigration:
         assert session.recovery["bad_checkpoints"] >= 1
         _stream(session, events[1500:], chunk=100)
         result = session.finish()
-        assert _result_body(result) == dumps_canonical(_baseline(events))
+        assert _result_body(result) == dumps_canonical(local_baseline(events))
 
-    def test_cold_restart_when_tail_reaches_zero(self, tmp_path, events):
+    def test_cold_restart_when_tail_reaches_zero(
+        self, tmp_path, events, local_baseline
+    ):
         session = _session(tmp_path, checkpoint_every=10**9)  # never
         _stream(session, events[:500], chunk=100)
         session.resume()
         assert session.recovery["cold_restarts"] == 1
         _stream(session, events[500:], chunk=100)
         result = session.finish()
-        assert _result_body(result) == dumps_canonical(_baseline(events))
+        assert _result_body(result) == dumps_canonical(local_baseline(events))
 
     def test_recovery_exhausted_when_nothing_usable(self, tmp_path, events):
         session = _session(tmp_path, checkpoint_every=300, keep_checkpoints=2)
@@ -193,7 +187,9 @@ class TestCheckpointHygiene:
         ]
         assert len(on_disk) <= 2
 
-    def test_checkpoint_now_is_resumable_boundary(self, tmp_path, events):
+    def test_checkpoint_now_is_resumable_boundary(
+        self, tmp_path, events, local_baseline
+    ):
         session = _session(tmp_path, checkpoint_every=10**9)
         _stream(session, events[:700], chunk=100)
         session.checkpoint_now()  # the SIGTERM drain path
@@ -201,7 +197,7 @@ class TestCheckpointHygiene:
         assert cursor == 700
         _stream(session, events[700:], chunk=100)
         result = session.finish()
-        assert _result_body(result) == dumps_canonical(_baseline(events))
+        assert _result_body(result) == dumps_canonical(local_baseline(events))
 
 
 class TestCheckpointGC:
@@ -219,7 +215,9 @@ class TestCheckpointGC:
         )
         assert cursors[-1] == written * 200
 
-    def test_generation_fallback_survives_gc(self, tmp_path, events):
+    def test_generation_fallback_survives_gc(
+        self, tmp_path, events, local_baseline
+    ):
         """After GC pruned old generations, corrupting the newest one
         must still fall back to the older *retained* generation — GC
         may never eat the safety margin."""
@@ -234,11 +232,13 @@ class TestCheckpointGC:
         assert session.recovery["bad_checkpoints"] >= 1
         _stream(session, events[1800:], chunk=100)
         result = session.finish()
-        assert _result_body(result) == dumps_canonical(_baseline(events))
+        assert _result_body(result) == dumps_canonical(local_baseline(events))
 
 
 class TestExportImport:
-    def test_export_adopt_byte_identical(self, tmp_path, events):
+    def test_export_adopt_byte_identical(
+        self, tmp_path, events, local_baseline
+    ):
         donor = _session(tmp_path, checkpoint_every=300)
         half = len(events) // 2
         _stream(donor, events[:half], chunk=100)
@@ -257,7 +257,7 @@ class TestExportImport:
         assert heir.recovery["migrations"] == 1
         _stream(heir, events[half:], chunk=100)
         result = heir.finish()
-        assert _result_body(result) == dumps_canonical(_baseline(events))
+        assert _result_body(result) == dumps_canonical(local_baseline(events))
 
     def test_adopt_rejects_corrupt_blob(self, tmp_path, events):
         donor = _session(tmp_path, checkpoint_every=300)
