@@ -25,45 +25,42 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from repro.detectors.base import Detector
+from repro.detectors.base import Detector, DetectorWrapper
 from repro.detectors.fasttrack import FastTrackDetector
 
 PAGE_SHIFT = 12
 
 
-class _FilterBase(Detector):
-    """Common wrapper plumbing: sync/heap events always pass through."""
+class _FilterBase(DetectorWrapper):
+    """Common wrapper plumbing: sync/heap events always pass through;
+    memory accesses go to the subclass's ``_route``."""
+
+    transparent = False
+    # The filter decides which accesses reach the inner; a check-only
+    # call from an outer sampler would bypass that routing.
+    supports_check_access = False
 
     def __init__(self, inner: Optional[Detector] = None,
                  suppress: Optional[Callable[[int], bool]] = None):
-        super().__init__(suppress)
-        self.inner = inner if inner is not None else FastTrackDetector(
-            granularity=1, suppress=suppress
+        super().__init__(
+            inner if inner is not None
+            else FastTrackDetector(granularity=1, suppress=suppress)
         )
         self.filtered_accesses = 0
         self.instrumented_accesses = 0
 
-    def on_acquire(self, tid, sync_id, is_lock=1):
-        self.inner.on_acquire(tid, sync_id, is_lock)
+    def on_read(self, tid, addr, size, site=0):
+        self._route(tid, addr, size, site, is_write=False)
 
-    def on_release(self, tid, sync_id, is_lock=1):
-        self.inner.on_release(tid, sync_id, is_lock)
+    def on_write(self, tid, addr, size, site=0):
+        self._route(tid, addr, size, site, is_write=True)
 
-    def on_fork(self, tid, child_tid):
-        self.inner.on_fork(tid, child_tid)
+    # A coalesced run goes through the filter as one ranged access.
+    def on_read_batch(self, tid, addr, size, width, site=0):
+        self._route(tid, addr, size, site, is_write=False)
 
-    def on_join(self, tid, target_tid):
-        self.inner.on_join(tid, target_tid)
-
-    def on_alloc(self, tid, addr, size):
-        self.inner.on_alloc(tid, addr, size)
-
-    def on_free(self, tid, addr, size):
-        self.inner.on_free(tid, addr, size)
-
-    def finish(self):
-        self.inner.finish()
-        self.races = self.inner.races
+    def on_write_batch(self, tid, addr, size, width, site=0):
+        self._route(tid, addr, size, site, is_write=True)
 
     def statistics(self) -> Dict[str, object]:
         total = self.filtered_accesses + self.instrumented_accesses
@@ -145,12 +142,6 @@ class AikidoFilter(_FilterBase):
         else:
             self.inner.on_read(tid, addr, size, site)
 
-    def on_read(self, tid, addr, size, site=0):
-        self._route(tid, addr, size, site, is_write=False)
-
-    def on_write(self, tid, addr, size, site=0):
-        self._route(tid, addr, size, site, is_write=True)
-
     def statistics(self) -> Dict[str, object]:
         stats = super().statistics()
         stats["sharing_transitions"] = self.sharing_transitions
@@ -213,12 +204,6 @@ class DemandDrivenFilter(_FilterBase):
                 self.inner.on_read(tid, addr, size, site)
         else:
             self.filtered_accesses += 1
-
-    def on_read(self, tid, addr, size, site=0):
-        self._route(tid, addr, size, site, is_write=False)
-
-    def on_write(self, tid, addr, size, site=0):
-        self._route(tid, addr, size, site, is_write=True)
 
     def statistics(self) -> Dict[str, object]:
         stats = super().statistics()
