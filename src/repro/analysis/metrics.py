@@ -15,11 +15,9 @@ Reproduces the paper's measures:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.detectors.base import DetectorWrapper
 from repro.detectors.registry import create_detector
 from repro.runtime.trace import Trace
 from repro.runtime.vm import bare_replay, replay
@@ -69,52 +67,6 @@ class Measurement:
     def max_vectors(self) -> Optional[int]:
         v = self.stats.get("max_vectors")
         return int(v) if v is not None else None
-
-
-class TimedDetector(DetectorWrapper):
-    """Per-callback timing wrapper: counts and accumulated seconds for
-    every callback kind, exposed as ``statistics()["perf"]``.
-
-    The instrumentation is two ``perf_counter`` reads per callback — a
-    cost profile, not a benchmark: use it to see *where* a detector
-    spends its replay time (read path vs write path vs sync), and use
-    plain :func:`replay` wall times for slowdown figures.  ``finish``
-    is forwarded untimed.
-    """
-
-    label = "timed"
-
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.calls: Dict[str, int] = {}
-        self.seconds: Dict[str, float] = {}
-
-    def _call(self, op: str, *args) -> None:
-        fn = getattr(self.inner, op)
-        if op == "finish":
-            fn()
-            return
-        t0 = time.perf_counter()
-        fn(*args)
-        self.seconds[op] = self.seconds.get(op, 0.0) + time.perf_counter() - t0
-        self.calls[op] = self.calls.get(op, 0) + 1
-
-    def perf(self) -> Dict[str, object]:
-        """The timing breakdown: per-callback calls/seconds plus totals."""
-        total_s = sum(self.seconds.values())
-        total_c = sum(self.calls.values())
-        return {
-            "calls": dict(self.calls),
-            "seconds": dict(self.seconds),
-            "total_calls": total_c,
-            "total_seconds": total_s,
-            "mean_us_per_call": (1e6 * total_s / total_c) if total_c else 0.0,
-        }
-
-    def statistics(self) -> Dict[str, object]:
-        stats = dict(self.inner.statistics())
-        stats["perf"] = self.perf()
-        return stats
 
 
 def base_memory_of(trace: Trace) -> int:

@@ -2,8 +2,10 @@
 
 Each ``tableN`` function returns a list of row dicts (one per
 benchmark) with the same columns the paper reports; ``format_table``
-renders any of them as aligned text.  The benchmark harness in
-``benchmarks/`` wraps these, and EXPERIMENTS.md records the
+renders any of them as aligned text, and ``repro-race table N`` prints
+them.  The slowdown columns are wall-clock ratios and vary by machine;
+``tests/analysis/test_paper_claims.py`` asserts the paper's claims on
+the counted and modeled columns.  EXPERIMENTS.md records the
 paper-vs-measured comparison.
 """
 

@@ -5,8 +5,8 @@ locality of neighbouring accesses, wholesale initialization, and
 one-epoch lifetimes.  This module measures those properties directly on
 a trace — before running any detector — producing the features that
 *predict* whether dynamic granularity will pay off
-(``benchmarks/bench_predictor.py`` correlates them with the measured
-speedup).
+(``tests/analysis/test_paper_claims.py`` correlates them with the
+counted-work ratio of byte to dynamic FastTrack).
 """
 
 from __future__ import annotations

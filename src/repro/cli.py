@@ -337,18 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch-span", type=int, help="max coalesced range in bytes"
     )
     bench.add_argument(
-        "--profile",
-        action="store_true",
-        help="also collect the per-callback timing breakdown "
-        "(statistics()['perf']) for each detector",
-    )
-    bench.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        help="append a compact per-run summary line to this JSONL log "
-        "(default: BENCH_history.jsonl; empty string disables)",
-    )
-    bench.add_argument(
         "--sampling",
         action="store_true",
         help="also run the sampling recall grid — every sampling policy "
@@ -361,13 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         help="recall gate for --sampling: fail when any sub-1.0 "
         "(sampler, rate) summary row has mean recall below this floor",
-    )
-    bench.add_argument(
-        "--check-history",
-        action="store_true",
-        help="trend gate: fail when events/sec regresses more than 20%% "
-        "against the best prior history line for the same config "
-        "(requires --history)",
     )
 
     serve = sub.add_parser(
@@ -460,7 +441,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lg = sub.add_parser(
         "loadgen",
         help="multi-tenant load + fault campaign against the daemon; "
-        "writes BENCH_server.json and gates on recovery divergence",
+        "writes BENCH_server.json and fails on any recovery divergence "
+        "or recovery failure",
     )
     lg.add_argument(
         "--connect",
@@ -495,15 +477,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lg.add_argument(
         "--chaos-interval", type=float,
         help="seconds between soak chaos actions (default: SECONDS/12)",
-    )
-    lg.add_argument(
-        "--slo", action="store_true",
-        help="append this run to --history and fail on p99/p99.9 or "
-        "recovery-counter regression vs the best comparable prior run",
-    )
-    lg.add_argument(
-        "--history", default=None,
-        help="SLO history JSONL path (default: BENCH_server_history.jsonl)",
     )
 
     return parser
@@ -840,19 +813,11 @@ def _cmd_golden(args) -> int:
 def _cmd_bench(args) -> int:
     from repro.perf.bench import (
         DEFAULT_DETECTORS,
-        append_history,
-        check_history,
-        comparable_runs,
         format_bench,
-        format_regressions,
-        load_history,
         run_bench,
         write_bench,
     )
 
-    if args.check_history and not args.history:
-        print("--check-history requires --history")
-        return 2
     if args.sampling_floor is not None and not args.sampling:
         print("--sampling-floor requires --sampling")
         return 2
@@ -883,24 +848,11 @@ def _cmd_bench(args) -> int:
         repeats=args.repeats,
         batch_span=args.batch_span,
         quick=args.quick,
-        profile=args.profile,
         sampling=args.sampling,
     )
     write_bench(result, args.out)
     print(format_bench(result))
     print(f"wrote {args.out}")
-    regressions = []
-    compared = 0
-    if args.history:
-        # The gate compares against history as it stood *before* this
-        # run's line is appended, so a run never gates against itself.
-        prior = load_history(args.history) if args.check_history else []
-        line = append_history(result, args.history)
-        print(f"appended run summary to {args.history}")
-        if args.check_history:
-            compared = comparable_runs(line, prior)
-            regressions = check_history(line, prior)
-            print(format_regressions(regressions, compared))
     if result["conformance"]["divergences"]:
         print("FAIL: batched and unbatched replay diverged")
         return 1
@@ -924,8 +876,6 @@ def _cmd_bench(args) -> int:
                         f"{args.sampling_floor:.2f}"
                     )
                 return 1
-    if regressions:
-        return 1
     return 0
 
 
@@ -1061,27 +1011,13 @@ def _cmd_loadgen(args) -> int:
     if errors:
         print(f"FAIL: {errors} tenant cycle(s) errored during the soak")
         failed = True
-
-    if args.slo or args.history:
-        from repro.server.slo import (
-            DEFAULT_SERVER_HISTORY,
-            append_server_history,
-            check_server_slo,
-            comparable_server_runs,
-            format_server_slo,
-            load_server_history,
+    recovery_failures = body["server"].get("recovery_failures", 0)
+    if recovery_failures:
+        print(
+            f"FAIL: the daemon gave up on {recovery_failures} session(s) "
+            "(recovery_failures)"
         )
-
-        path = args.history or DEFAULT_SERVER_HISTORY
-        # Load priors first: the gate compares against history that
-        # does NOT include the line this run appends.
-        priors = load_server_history(path)
-        line = append_server_history(body, path)
-        regressions = check_server_slo(line, priors)
-        print(format_server_slo(regressions, comparable_server_runs(line, priors)))
-        print(f"appended SLO history line to {path}")
-        if args.slo and regressions:
-            failed = True
+        failed = True
     return 1 if failed else 0
 
 

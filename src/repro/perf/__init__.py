@@ -13,9 +13,9 @@ targets, and measured, by:
 * :mod:`repro.perf.bench` — the perf-regression harness behind
   ``repro-race bench``: replays the embedded workloads across the
   granularity family, measures events/sec and slowdown vs bare replay,
-  and writes ``BENCH_slowdown.json`` so every PR has a perf trajectory
-  to compare against (plus an append-only ``BENCH_history.jsonl`` run
-  log).
+  and writes ``BENCH_slowdown.json``.  Its gate is batched == unbatched
+  race reports; the timings are informational (perfbench is the timed
+  benchmark).
 * :mod:`repro.perf.binlog` — the canonical binary trace form that
   ``Trace.digest()`` hashes and the wire protocol's EVENTS rows reuse.
 """

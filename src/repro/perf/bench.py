@@ -14,19 +14,18 @@ measures, per (workload, detector):
   byte-identical race reports; any divergence is recorded and turns
   the bench run into a failure.
 
-The result dict serializes to ``BENCH_slowdown.json`` so every PR has
-a perf trajectory to diff; ``--quick`` keeps CI runs to a few seconds.
+The result dict serializes to ``BENCH_slowdown.json``; ``--quick``
+keeps CI runs to a few seconds.  The timings are informational: the
+only verdict is conformance, since absolute speed depends on the
+machine.  perfbench (``perfbench/run.py``) is the timed benchmark; it
+reports every figure as a ratio to reference work done in the same run.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import subprocess
-import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.metrics import TimedDetector
 from repro.detectors.registry import create_detector
 from repro.perf.batch import DEFAULT_BATCH_SPAN, batch_stats
 from repro.runtime.trace import Trace
@@ -35,11 +34,6 @@ from repro.workloads.base import default_suppression
 from repro.workloads.registry import get_workload, workload_names
 
 SCHEMA = "repro-race-bench/v1"
-
-#: Schema of the append-only run log (``BENCH_history.jsonl``): one
-#: JSON line per bench invocation, compact enough to diff across the
-#: whole project history.
-HISTORY_SCHEMA = "repro-race-bench-history/v1"
 
 #: The detectors whose cost curve the bench tracks: the paper's two
 #: fixed granularities plus dynamic granularity.
@@ -104,7 +98,6 @@ def run_bench(
     repeats: int = 3,
     batch_span: Optional[int] = None,
     quick: bool = False,
-    profile: bool = False,
     sampling: bool = False,
 ) -> Dict[str, object]:
     """The full bench sweep; returns the ``BENCH_slowdown.json`` dict.
@@ -166,12 +159,6 @@ def run_bench(
                 "conforms": conforms,
                 "shadow": _shadow_stats(run_un.stats),
             }
-            if profile:
-                timed = TimedDetector(
-                    create_detector(dname, suppress=default_suppression)
-                )
-                replay(trace, timed, batched=True)
-                det_row["perf"] = timed.statistics()["perf"]
             det_rows[dname] = det_row
         wl_rows[wname] = {
             "events": events,
@@ -214,219 +201,6 @@ def write_bench(result: Dict[str, object], path: str) -> None:
     with open(path, "w") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _git_rev() -> str:
-    """Short commit hash of the working tree, or ``"unknown"`` outside a
-    git checkout (history lines must still be writable there)."""
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-        )
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-    rev = proc.stdout.strip()
-    return rev if proc.returncode == 0 and rev else "unknown"
-
-
-def history_line(result: Dict[str, object]) -> Dict[str, object]:
-    """The compact per-run summary appended to ``BENCH_history.jsonl``.
-
-    One line per bench invocation: schema, git revision, timestamp,
-    config, and per (workload, detector) the throughput/slowdown pair.
-    Everything else (shadow stats, divergence details) stays in the
-    full ``BENCH_slowdown.json``.
-    """
-    rows: List[Dict[str, object]] = []
-    for wname, wrow in result["workloads"].items():
-        for dname, drow in wrow["detectors"].items():
-            row: Dict[str, object] = {
-                "workload": wname,
-                "detector": dname,
-                "events": wrow["events"],
-                "events_per_sec": drow["unbatched"]["events_per_sec"],
-                "events_per_sec_batched": drow["batched"]["events_per_sec"],
-                "slowdown": drow["unbatched"]["slowdown"],
-                "slowdown_batched": drow["batched"]["slowdown"],
-            }
-            rows.append(row)
-    return {
-        "schema": HISTORY_SCHEMA,
-        "git_rev": _git_rev(),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "quick": result["quick"],
-        "config": result["config"],
-        "divergences": result["conformance"]["divergences"],
-        "rows": rows,
-    }
-
-
-def append_history(result: Dict[str, object], path: str) -> Dict[str, object]:
-    """Append :func:`history_line` to the JSONL run log at ``path``."""
-    line = history_line(result)
-    with open(path, "a") as fh:
-        json.dump(line, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-    return line
-
-
-# ----------------------------------------------------------------------
-# trend gate (``repro-race bench --check-history``)
-# ----------------------------------------------------------------------
-#: Config keys that must match for two history lines to be comparable —
-#: throughput is only meaningful against the same workload set, scale,
-#: seed and dispatch span.  No other config key may change the per-row
-#: figures: lines that differ only in other keys stay comparable.
-_GATE_CONFIG_KEYS = (
-    "workloads",
-    "detectors",
-    "scale",
-    "seed",
-    "repeats",
-    "batch_span",
-)
-
-#: Throughput metrics the gate watches, per history row.
-_GATE_METRICS = ("events_per_sec", "events_per_sec_batched")
-
-#: Default allowed events/sec regression vs the best prior run.
-GATE_THRESHOLD = 0.2
-
-
-def load_history(
-    path: str,
-    schema: str = HISTORY_SCHEMA,
-    list_field: Optional[str] = "rows",
-) -> List[Dict[str, object]]:
-    """Parse a JSONL run log, skipping lines that are not valid history
-    records (a truncated append must not wedge the gate).  ``schema``
-    and ``list_field`` let other subsystems (the server SLO gate) reuse
-    the same tolerant loader for their own history files."""
-    lines: List[Dict[str, object]] = []
-    if not os.path.exists(path):
-        return lines
-    with open(path) as fh:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                line = json.loads(raw)
-            except json.JSONDecodeError:
-                continue
-            if (
-                isinstance(line, dict)
-                and line.get("schema") == schema
-                and (
-                    list_field is None
-                    or isinstance(line.get(list_field), list)
-                )
-            ):
-                lines.append(line)
-    return lines
-
-
-def _gate_key(line: Dict[str, object]) -> tuple:
-    config = line.get("config", {})
-    return (bool(line.get("quick")),) + tuple(
-        json.dumps(config.get(k), sort_keys=True) for k in _GATE_CONFIG_KEYS
-    )
-
-
-def check_history(
-    line: Dict[str, object],
-    history: Sequence[Dict[str, object]],
-    threshold: float = GATE_THRESHOLD,
-) -> List[Dict[str, object]]:
-    """Regressions of ``line`` against the best prior comparable run.
-
-    A prior line is comparable when it ran the same config (workloads,
-    detectors, scale, seed, repeats, span) in the same quick
-    mode and finished with zero conformance divergences.  For each
-    (workload, detector) row, each throughput metric must stay within
-    ``threshold`` (fraction) of the best value any comparable prior run
-    achieved; dropping below fails.  No comparable history means no
-    verdict — the gate passes vacuously and the appended line becomes
-    the baseline for the next run.
-    """
-    key = _gate_key(line)
-    best: Dict[tuple, float] = {}
-    for prior in history:
-        if prior is line or _gate_key(prior) != key:
-            continue
-        if prior.get("divergences"):
-            continue
-        for row in prior["rows"]:
-            for metric in _GATE_METRICS:
-                value = row.get(metric)
-                if not isinstance(value, (int, float)) or value <= 0:
-                    continue
-                k = (row.get("workload"), row.get("detector"), metric)
-                if value > best.get(k, 0.0):
-                    best[k] = value
-    regressions: List[Dict[str, object]] = []
-    for row in line.get("rows", []):
-        for metric in _GATE_METRICS:
-            k = (row.get("workload"), row.get("detector"), metric)
-            prior_best = best.get(k)
-            if prior_best is None:
-                continue
-            current = row.get(metric, 0.0)
-            floor = prior_best * (1.0 - threshold)
-            if current < floor:
-                regressions.append(
-                    {
-                        "workload": row.get("workload"),
-                        "detector": row.get("detector"),
-                        "metric": metric,
-                        "current": current,
-                        "best": prior_best,
-                        "floor": floor,
-                        "drop_pct": 100.0 * (1.0 - current / prior_best),
-                    }
-                )
-    return regressions
-
-
-def comparable_runs(
-    line: Dict[str, object], history: Sequence[Dict[str, object]]
-) -> int:
-    """How many prior lines the gate can compare ``line`` against."""
-    key = _gate_key(line)
-    return sum(
-        1
-        for prior in history
-        if prior is not line
-        and _gate_key(prior) == key
-        and not prior.get("divergences")
-    )
-
-
-def format_regressions(
-    regressions: Sequence[Dict[str, object]], compared: int
-) -> str:
-    """Console report for the trend gate."""
-    if not compared:
-        return "bench trend gate: no comparable history — baseline recorded"
-    if not regressions:
-        return (
-            f"bench trend gate: ok vs best of {compared} comparable run(s)"
-        )
-    lines = [
-        f"bench trend gate: {len(regressions)} REGRESSION(S) vs best of "
-        f"{compared} comparable run(s)"
-    ]
-    for reg in regressions:
-        lines.append(
-            f"  {reg['workload']}/{reg['detector']} {reg['metric']}: "
-            f"{reg['current']:.0f} ev/s vs best {reg['best']:.0f} "
-            f"(-{reg['drop_pct']:.1f}%, floor {reg['floor']:.0f})"
-        )
-    return "\n".join(lines)
 
 
 def format_bench(result: Dict[str, object]) -> str:

@@ -66,7 +66,6 @@ import asyncio
 import os
 import secrets
 import shutil
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -109,7 +108,6 @@ class ServerConfig:
     handshake_timeout: float = 5.0
     idle_timeout: Optional[float] = None  # silent mid-stream clients
     detach_ttl: float = 30.0  # parked-session lifetime
-    dispatch_delay_us: float = 0.0  # bench knob: simulated heavy detector
     allow_kill_injection: bool = True  # honour HELLO kill_at (tests/bench)
     executor_threads: int = 8
     #: Evacuation target: drain ships every live tenant here instead of
@@ -1265,17 +1263,6 @@ class RaceServer:
         self.stats["retries"] += rec["retries"]
 
     # -- guarded dispatch ----------------------------------------------
-    def _dispatch_callable(self, session: TenantSession, chunk: List[tuple]):
-        delay = self.config.dispatch_delay_us
-        if delay:
-            def run():
-                time.sleep(len(chunk) * delay / 1e6)
-                session.dispatch_chunk(chunk)
-            return run
-        def run():
-            session.dispatch_chunk(chunk)
-        return run
-
     async def _dispatch_guarded(self, st: _Tenant, chunk: List[tuple]) -> None:
         """Run one dispatch slice under the watchdog; on wedge, crash or
         injected kill, migrate the session (resume from checkpoint +
@@ -1293,7 +1280,7 @@ class RaceServer:
                 ),
             )
             fut = self._loop.run_in_executor(
-                self._pool, self._dispatch_callable(session, chunk)
+                self._pool, session.bind_chunk(chunk)
             )
             try:
                 done, _pending = await asyncio.wait(
@@ -1336,8 +1323,6 @@ class RaceServer:
                     await asyncio.sleep(delay)
             # Migrate: fresh detector at the committed boundary.
             await self._loop.run_in_executor(self._pool, session.resume)
-            st.dirty = False
-            st.dirty = True
 
     # ------------------------------------------------------------------
     # introspection

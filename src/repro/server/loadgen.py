@@ -20,8 +20,11 @@ Writes ``BENCH_server.json``::
       ...
     }
 
-``recovery_divergences`` is the CI gate: any nonzero value means a
-migrated session diverged from its uninterrupted twin.
+``loadgen`` exits 1 when ``recovery_divergences`` (sessions that
+diverged from their uninterrupted twin) or the daemon's
+``server.recovery_failures`` (sessions it gave up on) is nonzero.
+Both are exact counts.  The latency percentiles are informational;
+perfbench's ``service-stream`` workload is the timed service benchmark.
 
 Soak mode (:func:`run_soak`, ``repro-race loadgen --soak SECONDS``)
 turns the one-shot campaign into a sustained chaos run against a *pair*
@@ -29,8 +32,7 @@ of daemons: tenants loop full sessions (each verified against its local
 baseline) while a chaos controller live-migrates tenants between the
 daemons, hard-kills and restarts one of them, and drain-evacuates it —
 on top of the per-cycle wire faults.  Latency is sampled per sync with
-a monotonic nanosecond clock (p50/p99/p99.9), and the body feeds the
-``--slo`` trend gate in :mod:`repro.server.slo`.
+a monotonic nanosecond clock (p50/p99/p99.9).
 """
 
 from __future__ import annotations

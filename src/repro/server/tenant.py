@@ -143,19 +143,32 @@ class TenantSession:
     # streaming ingest
     # ------------------------------------------------------------------
     def dispatch_chunk(self, rows: List[tuple]) -> None:
-        """Feed ``rows`` to the detector.  Pure detector mutation — no
-        counters move, so the caller may run this on an executor thread
-        and abandon it on a watchdog wedge; :meth:`commit_chunk` is the
-        loop-side second half.  Raises :class:`DetectorKilled` when an
-        injected kill point is crossed (fires exactly once)."""
+        """Feed ``rows`` to the detector now (:meth:`bind_chunk`, run at
+        once).  Raises :class:`DetectorKilled` when an injected kill
+        point is crossed (fires exactly once)."""
+        self.bind_chunk(rows)()
+
+    def bind_chunk(self, rows: List[tuple]) -> Callable[[], None]:
+        """A dispatch of ``rows`` bound to the current detector and kill
+        point.  Bind where the dispatch is scheduled: the returned call
+        is pure detector mutation, so the caller may run it later on an
+        executor thread and abandon it on a watchdog wedge, and a call
+        that only starts after :meth:`resume` swapped the detector
+        feeds the discarded one, never the restored live one.
+        :meth:`commit_chunk` is the loop-side second half."""
+        table = handlers(self.det)
         stop = len(rows)
         if self._kill_at:
             stop = min(stop, max(self._kill_at[0] - self.events_done, 0))
-        drive(rows, handlers(self.det), 0, stop)
-        if stop < len(rows):
-            at = self._kill_at.pop(0)
-            self.recovery["kills_fired"] += 1
-            raise DetectorKilled(at)
+
+        def run() -> None:
+            drive(rows, table, 0, stop)
+            if stop < len(rows):
+                at = self._kill_at.pop(0)
+                self.recovery["kills_fired"] += 1
+                raise DetectorKilled(at)
+
+        return run
 
     def commit_chunk(self, rows: List[tuple]) -> None:
         """Count a fully-dispatched chunk and checkpoint at marks.

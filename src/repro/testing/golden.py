@@ -3,8 +3,12 @@
 The corpus under ``tests/golden/`` is the regression net for refactors
 of :mod:`repro.core.detector`, :mod:`repro.core.groups` and
 :mod:`repro.shadow`: small serialized traces, each with the racy
-address set every pinned detector must reproduce exactly, plus the
-differential oracle's verdict.  Two entry flavours:
+address set every pinned detector must reproduce exactly, the integer
+counters of its unbatched ``statistics()`` (the counted work:
+``checked_accesses``, ``vc_allocs``, ``groups_created``, ...), plus the
+differential oracle's verdict.  A change in counted work fails
+``verify`` the way a changed race set does, until ``regenerate``
+re-pins it.  Two entry flavours:
 
 * **full** — a whole (small-scale) workload trace, pinning end-to-end
   behaviour including the oracle's allowed-divergence classification;
@@ -22,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.runtime.trace import Trace
 from repro.runtime.vm import replay
@@ -77,9 +81,12 @@ def default_corpus_dir() -> str:
     return os.path.join("tests", "golden")
 
 
-def _racy_addrs(trace: Trace, detector: str) -> List[int]:
-    det = create_detector(detector, suppress=default_suppression)
-    return sorted({r.addr for r in replay(trace, det).races})
+def _pinned_run(trace: Trace, detector: str) -> Tuple[List[int], Dict[str, int]]:
+    """Racy addresses and integer statistics counters of one unbatched
+    replay."""
+    result = replay(trace, create_detector(detector, suppress=default_suppression))
+    counters = {k: v for k, v in result.stats.items() if type(v) is int}
+    return sorted({r.addr for r in result.races}), counters
 
 
 def _entry_record(entry: GoldenEntry, trace: Trace, original_events: int) -> dict:
@@ -90,8 +97,10 @@ def _entry_record(entry: GoldenEntry, trace: Trace, original_events: int) -> dic
         "shrunk": entry.shrunk,
         "events": len(trace),
         "original_events": original_events,
-        "races": {d: _racy_addrs(trace, d) for d in PINNED_DETECTORS},
     }
+    pinned = {d: _pinned_run(trace, d) for d in PINNED_DETECTORS}
+    record["races"] = {d: addrs for d, (addrs, _) in pinned.items()}
+    record["counters"] = {d: counters for d, (_, counters) in pinned.items()}
     oracle = differential_check(trace)
     record["oracle"] = {
         "divergences": oracle.by_classification(),
@@ -107,7 +116,7 @@ def build_entry(entry: GoldenEntry) -> "tuple[Trace, dict]":
     )
     original_events = len(trace)
     if entry.shrunk:
-        target = _racy_addrs(trace, "fasttrack-byte")
+        target, _ = _pinned_run(trace, "fasttrack-byte")
         if not target:
             raise ValueError(
                 f"{entry.name}: {entry.workload} has no race to shrink "
@@ -156,7 +165,8 @@ def verify(corpus_dir: Optional[str] = None) -> List[str]:
 
     Returns a list of human-readable problems; empty means the corpus
     is green (every detector reproduces its pinned racy address set and
-    the differential oracle still explains every divergence).
+    counters, and the differential oracle still explains every
+    divergence).
     """
     corpus_dir = corpus_dir or default_corpus_dir()
     problems: List[str] = []
@@ -176,7 +186,7 @@ def verify(corpus_dir: Optional[str] = None) -> List[str]:
                 f"manifest says {record['events']}"
             )
         for detector, expected in sorted(record["races"].items()):
-            got = _racy_addrs(trace, detector)
+            got, counters = _pinned_run(trace, detector)
             if got != expected:
                 missing = sorted(set(expected) - set(got))
                 extra = sorted(set(got) - set(expected))
@@ -185,6 +195,17 @@ def verify(corpus_dir: Optional[str] = None) -> List[str]:
                     f"(missing {[hex(a) for a in missing[:4]]}, "
                     f"extra {[hex(a) for a in extra[:4]]}; "
                     f"{len(got)} now vs {len(expected)} pinned)"
+                )
+            pinned = record.get("counters", {}).get(detector, {})
+            changed = [
+                f"{k} {pinned.get(k)} -> {counters.get(k)}"
+                for k in sorted(set(pinned) | set(counters))
+                if pinned.get(k) != counters.get(k)
+            ]
+            if changed:
+                problems.append(
+                    f"{name}: {detector} counted work changed "
+                    f"({', '.join(changed)})"
                 )
         oracle = differential_check(trace)
         if len(oracle.unexplained) != record["oracle"]["unexplained"]:

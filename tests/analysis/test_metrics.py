@@ -82,43 +82,3 @@ def test_repeats_keep_minimum_time():
     trace = _trace()
     m = measure(trace, "fasttrack-byte", repeats=2)
     assert m.wall_time > 0
-
-
-# ----------------------------------------------------------------------
-# per-callback timing wrapper
-# ----------------------------------------------------------------------
-
-def test_timed_detector_counts_and_forwards():
-    from repro.analysis.metrics import TimedDetector
-    from repro.detectors.fasttrack import FastTrackDetector
-
-    inner = FastTrackDetector(granularity=1)
-    det = TimedDetector(inner)
-    det.on_fork(0, 1)
-    det.on_write(0, 0x10, 4, site=1)
-    det.on_write_batch(0, 0x20, 16, 4, site=1)
-    det.on_read(1, 0x10, 4, site=2)
-    det.finish()
-    assert det.name == "timed(fasttrack-byte)"
-    assert inner.races and det.races is inner.races
-    perf = det.perf()
-    assert perf["calls"]["on_write"] == 1
-    assert perf["calls"]["on_write_batch"] == 1
-    assert perf["calls"]["on_read"] == 1
-    assert perf["total_calls"] == sum(perf["calls"].values())
-    assert perf["total_seconds"] >= 0.0
-    assert perf["mean_us_per_call"] >= 0.0
-
-
-def test_timed_detector_statistics_embed_perf():
-    from repro.analysis.metrics import TimedDetector
-    from repro.detectors.fasttrack import FastTrackDetector
-
-    det = TimedDetector(FastTrackDetector(granularity=4))
-    det.on_write(0, 0x10, 4)
-    det.finish()
-    stats = det.statistics()
-    assert stats["perf"]["calls"]["on_write"] == 1
-    inner_stats = det.inner.statistics()
-    for key, value in inner_stats.items():
-        assert stats[key] == value

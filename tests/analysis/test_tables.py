@@ -1,5 +1,6 @@
 """Tests for the table regeneration functions (small workload subsets
-keep these fast; the full-suite shapes are asserted by benchmarks/)."""
+keep these fast; the paper's claims over the full suite are asserted on
+counted quantities in test_paper_claims.py)."""
 
 from repro.analysis.tables import (
     format_table,

@@ -139,11 +139,10 @@ def test_epoch_counter_advances():
 
 
 # ----------------------------------------------------------------------
-# DetectorWrapper: the delegation base of guard, timer and samplers
+# DetectorWrapper: the delegation base of guard, samplers and filters
 # ----------------------------------------------------------------------
 
 def _wrappers():
-    from repro.analysis.metrics import TimedDetector
     from repro.detectors.fasttrack import FastTrackDetector
     from repro.detectors.filters import AikidoFilter, DemandDrivenFilter
     from repro.detectors.guards import GuardedDetector
@@ -151,7 +150,6 @@ def _wrappers():
 
     return [
         GuardedDetector(FastTrackDetector(granularity=1)),
-        TimedDetector(FastTrackDetector(granularity=1)),
         PacerDetector(rate=1.0, inner=FastTrackDetector(granularity=1)),
         AikidoFilter(),
         DemandDrivenFilter(cooldown=1),

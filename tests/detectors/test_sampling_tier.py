@@ -276,16 +276,14 @@ def test_default_check_access_is_noop():
 
 
 def test_guard_and_timer_forward_check_access():
-    from repro.analysis.metrics import TimedDetector
     from repro.detectors.guards import GuardedDetector
 
-    for wrap in (GuardedDetector, TimedDetector):
-        det = wrap(create_detector("fasttrack-byte"))
-        assert det.supports_check_access
-        det.on_fork(0, 1)
-        det.on_write(0, 0x10, 1, site=1)
-        det.check_access(1, 0x10, 1, site=2, is_write=False)
-        assert len(det.races) == 1
+    det = GuardedDetector(create_detector("fasttrack-byte"))
+    assert det.supports_check_access
+    det.on_fork(0, 1)
+    det.on_write(0, 0x10, 1, site=1)
+    det.check_access(1, 0x10, 1, site=2, is_write=False)
+    assert len(det.races) == 1
 
 
 # ----------------------------------------------------------------------

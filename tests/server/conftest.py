@@ -29,16 +29,22 @@ def local_baseline():
 
 
 class _Heavy(DetectorWrapper):
-    """Every callback takes a little wall time, spent with the detector
-    the dispatch started on."""
+    """Every callback takes ``delay`` seconds of wall time, spent with
+    the detector the dispatch started on."""
+
+    def __init__(self, inner, delay):
+        super().__init__(inner)
+        self.delay = delay
 
     def _call(self, op, *args):
-        time.sleep(0.0002)
+        time.sleep(self.delay)
         super()._call(op, *args)
 
 
 @pytest.fixture
 def slow_factory():
-    """A daemon ``detector_factory`` whose detectors are slow enough
-    that a quiesce lands in the middle of a queued item."""
-    return lambda name: _Heavy(create_detector(name))
+    """``slow_factory(delay)`` is a daemon ``detector_factory`` whose
+    detectors spend ``delay`` seconds in every callback: slow enough
+    that a quiesce lands in the middle of a queued item, or that a
+    flood outruns dispatch."""
+    return lambda delay=0.0002: lambda name: _Heavy(create_detector(name), delay)

@@ -290,7 +290,7 @@ class TestMigration:
 
 class TestReattachBoundary:
     def test_reattach_mid_item_welcome_waits_for_commit(
-        self, tmp_path, local_baseline
+        self, tmp_path, local_baseline, slow_factory
     ):
         """A reconnect that lands while the worker is still digesting
         the previous attachment's frames must not be welcomed at the
@@ -302,12 +302,9 @@ class TestReattachBoundary:
         final event count exactly right: the chaos-soak divergence)."""
         events = _events()
         head = 2048
-        with _server(
-            tmp_path,
-            detach_ttl=30.0,
-            dispatch_delay_us=200.0,  # ~0.4s to digest the head
-            chunk_events=64,
-        ) as h:
+        handle = _server(tmp_path, detach_ttl=30.0, chunk_events=64)
+        handle.server.detector_factory = slow_factory()  # ~0.4s for the head
+        with handle as h:
             det = Detector(
                 "fasttrack", address=h.address, tenant="midflight",
                 batch_events=512,
@@ -402,7 +399,7 @@ class TestDetachFinalizeRace:
 
         events = _events()[:2048]
         handle = _server(tmp_path, detach_ttl=30.0)
-        handle.server.detector_factory = slow_factory
+        handle.server.detector_factory = slow_factory()
         with handle as h:
             det = Detector(
                 "fasttrack", address=h.address, tenant="midway",
@@ -453,20 +450,21 @@ class TestDetachFinalizeRace:
 
 
 class TestBackpressure:
-    def test_pause_then_shed_with_bounded_queue(self, tmp_path):
+    def test_pause_then_shed_with_bounded_queue(self, tmp_path, slow_factory):
         """Flood a deliberately slow tenant: reading pauses at the high
         watermark and, once the grace window lapses without draining,
         the session is shed with a typed OVERLOADED error — the queue
         never grows past watermark + one frame."""
         high = 40 * 1024
-        with _server(
+        handle = _server(
             tmp_path,
             high_watermark=high,
             low_watermark=8 * 1024,
             shed_after=0.3,
-            dispatch_delay_us=3000.0,  # ~3ms/event: cannot keep up
             chunk_events=64,
-        ) as h:
+        )
+        handle.server.detector_factory = slow_factory(0.003)  # cannot keep up
+        with handle as h:
             raw = _Raw(h.address, tenant="firehose")
             raw.expect(P.T_WELCOME)
             payload = P.encode_events([(1, 0, 4096, 1, 0)] * 256)

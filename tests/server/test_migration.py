@@ -180,7 +180,7 @@ class TestOperatorMigration:
         that a later resend fills twice."""
         events = _events("streamcluster", 0.05, 0)[:2048]
         handle = _server(tmp_path, "a")
-        handle.server.detector_factory = slow_factory
+        handle.server.detector_factory = slow_factory()
         with handle as a:
             det = Detector(
                 "fasttrack", address=a.address, tenant="pipelined",
@@ -201,6 +201,58 @@ class TestOperatorMigration:
                     timeout=10.0,
                 )
             assert err.value.code == P.E_MIGRATE_FAILED
+            result = det.finish()
+        assert result["events"] == len(events)
+        assert _body(result) == P.dumps_canonical(local_baseline(events))
+
+
+    def test_failed_export_with_dispatch_queued_for_a_thread(
+        self, tmp_path, local_baseline
+    ):
+        """The dispatch of a chunk still waiting for the only executor
+        thread when an export quiesces the worker and then fails stays
+        bound to the detector it was scheduled on; the restarted
+        worker's re-dispatch is the only one the live detector sees."""
+        events = _events("streamcluster", 0.05, 0)[:2048]
+        gate = threading.Event()
+        with _server(tmp_path, "a", executor_threads=1) as a:
+            a.server._pool.submit(gate.wait)  # occupy the only thread
+            det = Detector(
+                "fasttrack", address=a.address, tenant="queued",
+                batch_events=256,
+            )
+            det.feed(events)  # the first chunk queues behind the blocker
+            deadline = time.monotonic() + 10.0
+            st = None
+            while time.monotonic() < deadline:
+                st = a.server._tenants.get("queued")
+                if st is not None and st.dirty and st.queue:
+                    break
+                time.sleep(0.005)
+            assert st is not None and st.dirty and st.queue
+            errors = []
+
+            def export():
+                try:
+                    migrate_tenant(
+                        a.address, "queued", peer=("127.0.0.1", 1),
+                        timeout=10.0,
+                    )
+                except P.ServerError as exc:
+                    errors.append(exc.code)
+
+            mover = threading.Thread(target=export)
+            mover.start()
+            # Release the thread only once the export has quiesced the
+            # worker, with its dispatch still queued.
+            while time.monotonic() < deadline and not (
+                st.migrating and st.worker.done()
+            ):
+                time.sleep(0.005)
+            assert st.migrating and st.worker.done()
+            gate.set()
+            mover.join(15.0)
+            assert errors == [P.E_MIGRATE_FAILED]
             result = det.finish()
         assert result["events"] == len(events)
         assert _body(result) == P.dumps_canonical(local_baseline(events))

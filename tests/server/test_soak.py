@@ -170,78 +170,23 @@ class TestChaosSoak:
         assert srv["auth_challenges"] >= 1  # the soak wire is keyed
 
 
-class TestServerSLOGate:
-    def _body(self, p99=5.0, p999=9.0, recovery_failures=0, **config):
-        cfg = {
-            "tenants": 4, "workload": "pbzip2", "scale": 0.08, "seed": 0,
-            "detector": "fasttrack", "batch_events": 512, "quick": True,
-        }
-        cfg.update(config)
-        return {
-            "config": cfg,
-            "latency_ms": {
-                "p50": 1.0, "p99": p99, "p999": p999, "samples": 50,
-            },
-            "throughput_eps": 5000.0,
-            "server": {"recovery_failures": recovery_failures},
-            "soak": {"seconds": 10, "cycles": 3, "chaos": {}},
-            "recovery_divergences": 0,
-        }
+class TestLoadgenGate:
+    """``repro-race loadgen`` fails on its run's own exact counts."""
 
-    def test_history_roundtrip_and_pass(self, tmp_path):
-        from repro.server import slo
+    def _main(self, monkeypatch, tmp_path, **body):
+        from repro.cli import main
+        from repro.server import loadgen
 
-        path = str(tmp_path / "hist.jsonl")
-        first = slo.append_server_history(self._body(), path)
-        assert slo.check_server_slo(first, []) == []  # vacuous baseline
-        priors = slo.load_server_history(path)
-        assert len(priors) == 1
-        # Slightly slower but inside the threshold: still a pass.
-        ok = slo.server_history_line(self._body(p99=6.0, p999=10.0))
-        assert slo.check_server_slo(ok, priors) == []
-        assert slo.comparable_server_runs(ok, priors) == 1
+        full = {"recovery_divergences": 0, "server": {"recovery_failures": 0}}
+        full.update(body)
+        monkeypatch.setattr(loadgen, "run_loadgen", lambda *a, **k: full)
+        monkeypatch.setattr(loadgen, "format_loadgen", lambda b: "")
+        return main(["loadgen", "--out", str(tmp_path / "B.json")])
 
-    def test_gate_fails_on_injected_latency_regression(self, tmp_path):
-        """The negative test the acceptance criteria demand: a p99 blown
-        past best*(1+threshold) is reported as a latency regression."""
-        from repro.server import slo
-
-        path = str(tmp_path / "hist.jsonl")
-        slo.append_server_history(self._body(p99=5.0), path)
-        priors = slo.load_server_history(path)
-        bad = slo.server_history_line(self._body(p99=5.0 * 2))
-        regressions = slo.check_server_slo(bad, priors)
-        assert [r["metric"] for r in regressions] == ["p99"]
-        assert regressions[0]["kind"] == "latency"
-        text = slo.format_server_slo(regressions, 1)
-        assert "REGRESSION" in text
-
-    def test_gate_fails_on_recovery_counter_regression(self, tmp_path):
-        """recovery_failures must never exceed the best prior value —
-        latency headroom does not excuse losing a session."""
-        from repro.server import slo
-
-        path = str(tmp_path / "hist.jsonl")
-        slo.append_server_history(self._body(), path)
-        priors = slo.load_server_history(path)
-        bad = slo.server_history_line(self._body(recovery_failures=1))
-        regressions = slo.check_server_slo(bad, priors)
-        assert [r["metric"] for r in regressions] == ["recovery_failures"]
-        assert regressions[0]["kind"] == "counter"
-
-    def test_divergent_priors_never_become_baselines(self, tmp_path):
-        from repro.server import slo
-
-        body = self._body(p99=0.5)
-        body["recovery_divergences"] = 2  # tainted run: absurdly fast
-        line = slo.server_history_line(body)
-        current = slo.server_history_line(self._body(p99=5.0))
-        assert slo.check_server_slo(current, [line]) == []
-        assert slo.comparable_server_runs(current, [line]) == 0
-
-    def test_different_config_never_compared(self, tmp_path):
-        from repro.server import slo
-
-        prior = slo.server_history_line(self._body(p99=0.5, tenants=32))
-        current = slo.server_history_line(self._body(p99=50.0))
-        assert slo.check_server_slo(current, [prior]) == []
+    def test_exits_1_on_recovery_failures(self, monkeypatch, tmp_path, capsys):
+        assert self._main(monkeypatch, tmp_path) == 0
+        failed = self._main(
+            monkeypatch, tmp_path, server={"recovery_failures": 1}
+        )
+        assert failed == 1
+        assert "recovery_failures" in capsys.readouterr().out

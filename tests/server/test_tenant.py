@@ -130,6 +130,23 @@ class TestMigration:
         result = session.finish()
         assert _result_body(result) == dumps_canonical(local_baseline(events))
 
+    def test_dispatch_started_after_resume_feeds_its_bound_detector(
+        self, tmp_path, events, local_baseline
+    ):
+        """A dispatch scheduled before a resume but started after it (a
+        chunk still queued for an executor thread when a quiesce rolled
+        the session back) feeds the detector it was bound to, which the
+        resume discarded, never the restored live one."""
+        session = _session(tmp_path)
+        half = len(events) // 2
+        _stream(session, events[:half], chunk=256)
+        late = session.bind_chunk(events[half : half + 256])
+        session.resume()
+        late()
+        _stream(session, events[half:], chunk=256)
+        result = session.finish()
+        assert _result_body(result) == dumps_canonical(local_baseline(events))
+
     def test_corrupt_checkpoint_falls_back_a_generation(
         self, tmp_path, events, local_baseline
     ):

@@ -33,6 +33,7 @@ def test_checked_in_corpus_is_complete_and_explained():
         # satellite: zero unexplained divergences across the corpus
         assert record["oracle"]["unexplained"] == 0, name
         assert set(record["races"]) == set(PINNED_DETECTORS), name
+        assert set(record["counters"]) == set(PINNED_DETECTORS), name
         assert record["events"] <= record["original_events"], name
 
 
@@ -76,6 +77,29 @@ def test_verify_flags_tampered_manifest(tmp_path):
         json.dump(manifest, fh)
     problems = verify(corpus)
     assert any("racy addresses changed" in p for p in problems)
+
+
+def test_verify_flags_exactly_the_changed_counter(tmp_path):
+    """A bumped counter fails verify for that entry and detector only."""
+    from repro.cli import main
+
+    corpus = tmp_path / "golden"
+    corpus.mkdir()
+    manifest = load_manifest()
+    names = ("shrunk-x264", "shrunk-raytrace")
+    for name in names:
+        src = os.path.join(default_corpus_dir(), f"{name}.npz")
+        with open(src, "rb") as fh:
+            (corpus / f"{name}.npz").write_bytes(fh.read())
+    subset = {name: manifest[name] for name in names}
+    pinned = subset["shrunk-x264"]["counters"]["dynamic"]["checked_accesses"]
+    subset["shrunk-x264"]["counters"]["dynamic"]["checked_accesses"] += 1
+    (corpus / MANIFEST).write_text(json.dumps(subset))
+    assert verify(str(corpus)) == [
+        f"shrunk-x264: dynamic counted work changed "
+        f"(checked_accesses {pinned + 1} -> {pinned})"
+    ]
+    assert main(["golden", "verify", "--dir", str(corpus)]) == 1
 
 
 def test_verify_flags_missing_trace_and_event_drift(tmp_path):
