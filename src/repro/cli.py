@@ -22,8 +22,7 @@
     repro-race conform --workload streamcluster --seeds 3
     repro-race golden regen
     repro-race golden verify
-    repro-race bench [--quick] [--out BENCH_slowdown.json]
-    repro-race bench --quick --check-history [--sampling]
+    repro-race sampling [--out BENCH_sampling.json]
     repro-race serve [--port 7432] [--checkpoint-root DIR]
     repro-race loadgen --quick [--connect HOST:PORT] [-o BENCH_server.json]
 """
@@ -308,47 +307,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dir", help="corpus directory (default: tests/golden)"
     )
 
-    bench = sub.add_parser(
-        "bench",
-        help="perf-regression bench: events/sec + slowdown per detector, "
-        "batched vs unbatched dispatch",
+    sampling = sub.add_parser(
+        "sampling",
+        help="sampling recall grid: every sampling policy x rate x inner "
+        "detector over the golden corpus; fails when a rate-1.0 cell "
+        "differs from the bare inner or a mean recall is below the floor",
     )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke: streamcluster/pbzip2/facesim at small scale",
-    )
-    bench.add_argument(
-        "--out", "-o", default="BENCH_slowdown.json",
-        help="result JSON path (default: BENCH_slowdown.json)",
-    )
-    bench.add_argument(
-        "--workloads", help="comma-separated subset (default: all benchmarks)"
-    )
-    bench.add_argument(
-        "--detectors",
-        help="comma-separated detector names "
-        "(default: fasttrack-byte,fasttrack-word,fasttrack-dynamic)",
-    )
-    bench.add_argument("--scale", type=float)
-    bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument(
-        "--batch-span", type=int, help="max coalesced range in bytes"
-    )
-    bench.add_argument(
-        "--sampling",
-        action="store_true",
-        help="also run the sampling recall grid — every sampling policy "
-        "x rate x inner detector over the golden corpus, with rate-1.0 "
-        "cells pinned byte-identical to the bare inner (embedded under "
-        "'sampling' in the output JSON)",
-    )
-    bench.add_argument(
-        "--sampling-floor",
-        type=float,
-        help="recall gate for --sampling: fail when any sub-1.0 "
-        "(sampler, rate) summary row has mean recall below this floor",
+    sampling.add_argument(
+        "--out", "-o", default="BENCH_sampling.json",
+        help="result JSON path (default: BENCH_sampling.json)",
     )
 
     serve = sub.add_parser(
@@ -810,73 +777,25 @@ def _cmd_golden(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.perf.bench import (
-        DEFAULT_DETECTORS,
-        format_bench,
-        run_bench,
-        write_bench,
+def _cmd_sampling(args) -> int:
+    from repro.perf.sampling import (
+        format_report,
+        sampling_report,
+        write_report,
     )
 
-    if args.sampling_floor is not None and not args.sampling:
-        print("--sampling-floor requires --sampling")
-        return 2
-
-    if args.detectors:
-        detectors = [d.strip() for d in args.detectors.split(",") if d.strip()]
-        for name in detectors:
-            if not _is_detector(name):
-                print(f"unknown detector {name!r}")
-                return 2
-    else:
-        detectors = list(DEFAULT_DETECTORS)
-    workloads = (
-        [w.strip() for w in args.workloads.split(",") if w.strip()]
-        if args.workloads
-        else None
-    )
-    if workloads:
-        for name in workloads:
-            if name not in workload_names():
-                print(f"unknown workload {name!r}")
-                return 2
-    result = run_bench(
-        workloads=workloads,
-        detectors=detectors,
-        scale=args.scale,
-        seed=args.seed,
-        repeats=args.repeats,
-        batch_span=args.batch_span,
-        quick=args.quick,
-        sampling=args.sampling,
-    )
-    write_bench(result, args.out)
-    print(format_bench(result))
+    report = sampling_report()
+    write_report(report, args.out)
+    print(format_report(report))
     print(f"wrote {args.out}")
-    if result["conformance"]["divergences"]:
-        print("FAIL: batched and unbatched replay diverged")
-        return 1
-    sampling = result.get("sampling")
-    if sampling:
-        if not sampling["identity"]["ok"]:
-            print("FAIL: rate-1.0 sampling cells diverged from bare inner")
-            return 1
-        if args.sampling_floor is not None:
-            low = [
-                row
-                for row in sampling["summary"]
-                if row["rate"] < 1.0
-                and row["mean_recall"] < args.sampling_floor
-            ]
-            if low:
-                for row in low:
-                    print(
-                        f"FAIL: {row['sampler']}@{row['rate']:.2f} mean "
-                        f"recall {row['mean_recall']:.3f} below floor "
-                        f"{args.sampling_floor:.2f}"
-                    )
-                return 1
-    return 0
+    failed = False
+    if not report["identity"]["ok"]:
+        print("FAIL: rate-1.0 sampling cells diverged from the bare inner")
+        failed = True
+    if not report["recall_floor"]["ok"]:
+        print("FAIL: a sampling mean recall is below the floor")
+        failed = True
+    return 1 if failed else 0
 
 
 def _parse_hostport(text: str, flag: str):
@@ -1074,8 +993,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_conform(args)
     if args.command == "golden":
         return _cmd_golden(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
+    if args.command == "sampling":
+        return _cmd_sampling(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "loadgen":

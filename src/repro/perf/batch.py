@@ -39,7 +39,8 @@ events that did not merge stay plain 5-tuples.  The replay loop routes
 
 ``tests/testing/test_batch_conformance.py`` pins byte-identical race
 reports between batched and unbatched replay on the golden corpus and
-the embedded workloads; ``repro-race bench`` re-checks it on every run.
+the embedded workloads; perfbench's ``offline-*`` workloads time both
+dispatch modes.
 """
 
 from __future__ import annotations

@@ -13,20 +13,23 @@ cell at every rate is scored by
   forwards a subset of accesses to the same inner detector, so
   precision stays 1.0 and ``extras`` below is an honesty counter, not
   a tuned metric);
-* **speedup** — full-inner replay wall time over sampler wall time,
-  best-of-``repeats`` on both sides;
-* **effective rate** — fraction of memory accesses actually forwarded;
+* **effective rate** — fraction of memory accesses actually forwarded,
+  with the exact ``sampled_accesses`` / ``skipped_accesses`` counts
+  behind it: the analysis work a sampler saves, counted rather than
+  timed (perfbench is the timed benchmark);
 * **identity** — every rate-1.0 cell must be byte-identical to the
-  bare inner (same race reports, same inner statistics); a failed
-  identity cell fails the bench like a conformance divergence does.
+  bare inner (same race reports, same inner statistics).
 
-The rows feed ``repro-race bench --sampling`` (with ``--sampling-floor``
-as the CI recall gate) and land in ``BENCH_slowdown.json``; the grid
-shape itself is pinned by ``tests/perf/test_sampling_recall.py``.
+Every cell is one deterministic replay, so the grid repeats exactly.
+``repro-race sampling`` prints it, writes it as JSON and fails on an
+identity failure or on a sub-1.0 (policy, rate) mean recall below
+:data:`RECALL_FLOOR`; ``tests/perf/test_sampling_recall.py`` pins the
+same two gates and the grid's shape.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,8 +39,8 @@ from repro.runtime.vm import replay
 from repro.testing.golden import default_corpus_dir, load_manifest
 from repro.workloads.base import default_suppression
 
-#: Schema tag for the embedded sampling section.
-SAMPLING_SCHEMA = "repro-race-sampling-recall/v2"
+#: Schema tag of the ``repro-race sampling`` JSON.
+SAMPLING_SCHEMA = "repro-race-sampling-recall/v3"
 
 #: Registry names of the sampling policies under measurement.
 SAMPLERS = ("literace", "pacer", "o1")
@@ -49,7 +52,9 @@ DEFAULT_INNERS = ("fasttrack-byte", "fasttrack-word", "djit-byte", "dynamic")
 
 #: Sampling rates per cell; 1.0 is mandatory (the identity pin).
 DEFAULT_RATES = (0.05, 0.25, 1.0)
-QUICK_RATES = (0.1, 1.0)
+
+#: Lowest mean recall a sub-1.0 (policy, rate) summary row may have.
+RECALL_FLOOR = 0.6
 
 #: Wrapper-only statistics keys: stripped before comparing a sampled
 #: run's statistics against the bare inner's.
@@ -82,38 +87,25 @@ def _inner_stats(stats: Dict[str, object]) -> Dict[str, object]:
     return {k: v for k, v in stats.items() if k not in SAMPLER_STAT_KEYS}
 
 
-def _best_replay(trace: Trace, name: str, repeats: int, **kwargs):
-    best = None
-    for _ in range(max(repeats, 1)):
-        det = create_detector(name, suppress=default_suppression, **kwargs)
-        res = replay(trace, det)
-        if best is None or res.wall_time < best.wall_time:
-            best = res
-    return best
+def _replay(trace: Trace, name: str, **kwargs):
+    det = create_detector(name, suppress=default_suppression, **kwargs)
+    return replay(trace, det)
 
 
-def grid_rows(
-    corpus_dir: Optional[str] = None,
-    samplers: Sequence[str] = SAMPLERS,
-    inners: Sequence[str] = DEFAULT_INNERS,
-    rates: Sequence[float] = DEFAULT_RATES,
-    repeats: int = 3,
-) -> List[Dict[str, object]]:
+def grid_rows(corpus_dir: Optional[str] = None) -> List[Dict[str, object]]:
     """One row per (golden trace, inner, sampler, rate) cell."""
     corpus = corpus_dir or default_corpus_dir()
     rows: List[Dict[str, object]] = []
     for tname in sorted(load_manifest(corpus)):
         trace = Trace.load(os.path.join(corpus, f"{tname}.npz"))
-        for inner in inners:
-            full = _best_replay(trace, inner, repeats)
+        for inner in DEFAULT_INNERS:
+            full = _replay(trace, inner)
             truth = _race_addrs(full)
             full_keys = _race_keys(full)
             full_stats = full.stats
-            for sampler in samplers:
-                for rate in rates:
-                    res = _best_replay(
-                        trace, f"{sampler}:{inner}", repeats, rate=rate
-                    )
+            for sampler in SAMPLERS:
+                for rate in DEFAULT_RATES:
+                    res = _replay(trace, f"{sampler}:{inner}", rate=rate)
                     found = _race_addrs(res)
                     stats = res.stats
                     identical = None
@@ -136,11 +128,6 @@ def grid_rows(
                                 len(found & truth) / len(truth)
                                 if truth
                                 else 1.0
-                            ),
-                            "speedup_vs_full": (
-                                full.wall_time / res.wall_time
-                                if res.wall_time > 0
-                                else 0.0
                             ),
                             "effective_rate": stats.get(
                                 "effective_rate", 1.0
@@ -168,8 +155,8 @@ def grid_rows(
 
 def summarize(rows: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
     """Per (sampler, rate) aggregates over every (trace, inner) cell
-    (mean/min recall, mean speedup and effective rate), in order of
-    first appearance."""
+    (mean/min recall and mean effective rate), in order of first
+    appearance."""
     order: List[Tuple[str, float]] = []
     grouped: Dict[Tuple[str, float], List[Dict[str, object]]] = {}
     for row in rows:
@@ -191,9 +178,6 @@ def summarize(rows: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
                 "traces": len({r["trace"] for r in group}),
                 "mean_recall": sum(r["recall"] for r in group) / n,
                 "min_recall": min(r["recall"] for r in group),
-                "mean_speedup": (
-                    sum(r["speedup_vs_full"] for r in group) / n
-                ),
                 "mean_effective_rate": (
                     sum(r["effective_rate"] for r in group) / n
                 ),
@@ -217,29 +201,84 @@ def identity_failures(
     ]
 
 
-def sampling_report(
-    corpus_dir: Optional[str] = None,
-    samplers: Sequence[str] = SAMPLERS,
-    inners: Sequence[str] = DEFAULT_INNERS,
-    rates: Optional[Sequence[float]] = None,
-    repeats: int = 3,
-    quick: bool = False,
-) -> Dict[str, object]:
-    """The section embedded under ``"sampling"`` in the bench JSON."""
-    if rates is None:
-        rates = QUICK_RATES if quick else DEFAULT_RATES
-    rows = grid_rows(corpus_dir, samplers, inners, rates, repeats)
+def floor_failures(
+    summary: Sequence[Dict[str, object]],
+) -> List[Dict[str, object]]:
+    """Sub-1.0 (sampler, rate) summary rows whose mean recall is below
+    :data:`RECALL_FLOOR`."""
+    return [
+        row
+        for row in summary
+        if row["rate"] < 1.0 and row["mean_recall"] < RECALL_FLOOR
+    ]
+
+
+def sampling_report(corpus_dir: Optional[str] = None) -> Dict[str, object]:
+    """The ``repro-race sampling`` JSON body: rows, summary and gates."""
+    rows = grid_rows(corpus_dir)
+    summary = summarize(rows)
     failures = identity_failures(rows)
+    low = floor_failures(summary)
     return {
         "schema": SAMPLING_SCHEMA,
-        "samplers": list(samplers),
-        "inners": list(inners),
-        "rates": list(rates),
+        "samplers": list(SAMPLERS),
+        "inners": list(DEFAULT_INNERS),
+        "rates": list(DEFAULT_RATES),
         "rows": rows,
-        "summary": summarize(rows),
+        "summary": summary,
         "identity": {
             "cells": sum(1 for r in rows if r["identical"] is not None),
             "failures": failures,
             "ok": not failures,
         },
+        "recall_floor": {
+            "floor": RECALL_FLOOR,
+            "failures": low,
+            "ok": not low,
+        },
     }
+
+
+def write_report(report: Dict[str, object], path: str) -> None:
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def format_report(report: Dict[str, object]) -> str:
+    """Console summary: one line per (sampler, rate), then the gates."""
+    lines: List[str] = []
+    for srow in report["summary"]:
+        lines.append(
+            f"{srow['sampler']:8s}@{srow['rate']:.2f}: recall "
+            f"{srow['mean_recall']:.3f} mean (min {srow['min_recall']:.2f}), "
+            f"sampled {100.0 * srow['mean_effective_rate']:.1f}% "
+            f"of accesses over {srow['cells']} cells "
+            f"({srow['inners']} inners)"
+        )
+    ident = report["identity"]
+    if ident["ok"]:
+        lines.append(
+            f"identity: all {ident['cells']} rate-1.0 cells "
+            "byte-identical to the bare inner"
+        )
+    else:
+        lines.append(
+            f"identity: {len(ident['failures'])} of {ident['cells']} "
+            "rate-1.0 cells DIVERGED from the bare inner: "
+            + ", ".join(
+                f"{f['sampler']}:{f['inner']}@{f['trace']}"
+                for f in ident["failures"][:5]
+            )
+        )
+    floor = report["recall_floor"]
+    if floor["ok"]:
+        lines.append(
+            f"recall floor: every sub-1.0 mean recall >= {floor['floor']:.2f}"
+        )
+    for row in floor["failures"]:
+        lines.append(
+            f"recall floor: {row['sampler']}@{row['rate']:.2f} mean recall "
+            f"{row['mean_recall']:.3f} below {floor['floor']:.2f}"
+        )
+    return "\n".join(lines)

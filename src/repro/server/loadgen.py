@@ -33,17 +33,25 @@ baseline) while a chaos controller live-migrates tenants between the
 daemons, hard-kills and restarts one of them, and drain-evacuates it —
 on top of the per-cycle wire faults.  Latency is sampled per sync with
 a monotonic nanosecond clock (p50/p99/p99.9).
+
+Both modes drive their tenants with one :class:`_TenantDriver` (one
+cycle per tenant for the campaign, cycles until the deadline for the
+soak) and start their in-process daemons with one
+:func:`_in_process_daemons`, which checkpoints into a temporary
+directory it removes at teardown.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
 import shutil
 import tempfile
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -100,94 +108,175 @@ def _baseline(detector: str, events: List[tuple]) -> dict:
     }
 
 
-class _TenantRun(threading.Thread):
-    """One tenant: stream, misbehave on schedule, verify at the end."""
+#: The in-process daemons' idle deadline; a ``stall-client`` tenant
+#: goes silent for 2.5 times as long, so the daemon sheds it.
+_IDLE_TIMEOUT = 0.5
+_STALL_SECONDS = 2.5 * _IDLE_TIMEOUT
+
+
+class _TenantDriver(threading.Thread):
+    """One tenant running verified sessions against the daemon(s).
+
+    Every cycle streams the tenant's events as a fresh session (tenant
+    id ``{prefix}-{index}-c{cycle}``), acts out one fault from
+    :data:`_FAULT_CYCLE` on schedule, and compares the RESULT — races
+    *and* statistics — with the local uninterrupted baseline.  With
+    ``deadline=None`` the driver runs one cycle (``run_loadgen``);
+    otherwise it loops cycles until the deadline (``run_soak``).  The
+    client is given every daemon address, so chaos actions on one host
+    surface as failovers or migrations, not errors.  A cycle that
+    raises is recorded in ``errors``.
+    """
 
     def __init__(
         self,
         index: int,
-        address: Tuple[str, int],
+        prefix: str,
+        addresses: List[Tuple[str, int]],
         events: List[tuple],
+        *,
         detector: str,
         batch_events: int,
-        fault: Optional[str],
-        stall_seconds: float,
-        timeout: float,
+        faults: bool = True,
+        can_stall: bool = True,
+        key: Optional[str] = None,
+        timeout: float = 30.0,
+        deadline: Optional[float] = None,
     ):
-        super().__init__(name=f"loadgen-t{index}", daemon=True)
+        super().__init__(name=f"{prefix}-t{index}", daemon=True)
         self.index = index
-        self.address = address
+        self.prefix = prefix
+        self.addresses = addresses
         self.events = events
+        self.baseline = _baseline(detector, events)
         self.detector = detector
         self.batch_events = batch_events
-        self.fault = fault
-        self.stall_seconds = stall_seconds
+        self.faults = faults
+        self.can_stall = can_stall
+        self.key = key
         self.timeout = timeout
+        self.deadline = deadline
+        self.latencies_ns: List[int] = []
+        self.cycles = 0
+        self.events_streamed = 0
+        self.races: Optional[int] = None
+        self.divergences = 0
+        self.divergence_notes: List[str] = []
+        self.errors: List[str] = []
+        self.reconnects = 0
+        self.sheds_seen = 0
+        self.migrations_seen = 0
+        self.failovers = 0
+
+    def fault_for(self, cycle: int) -> Optional[str]:
+        if not self.faults:
+            return None
+        fault = _FAULT_CYCLE[(cycle + self.index) % len(_FAULT_CYCLE)]
+        if fault == STALL_CLIENT and not self.can_stall:
+            return DROP_CONNECTION  # the remote idle timeout is unknown
+        return fault
+
+    def run(self) -> None:
+        cycle = 0
+        while True:
+            fault = self.fault_for(cycle)
+            try:
+                self._one_cycle(cycle, fault)
+                self.cycles += 1
+                self.events_streamed += len(self.events)
+            except BaseException as exc:  # noqa: BLE001 - reported upstream
+                self.errors.append(
+                    f"cycle {cycle} fault={fault}: {type(exc).__name__}: "
+                    f"{exc}"
+                )
+                time.sleep(0.2)
+            cycle += 1
+            if self.deadline is None or time.monotonic() >= self.deadline:
+                return
+
+    def _one_cycle(self, cycle: int, fault: Optional[str]) -> None:
         # Fire wire faults mid-stream, kills mid-detector: both land
         # far from the edges so recovery really has state to rebuild.
-        self.fault_at = max(1, len(events) // 2)
-        self.latencies_ns: List[int] = []
-        self.result: Optional[dict] = None
-        self.divergent = False
-        self.error: Optional[BaseException] = None
-        self.client: Optional[Detector] = None
-
-    def run(self) -> None:  # pragma: no cover - exercised via loadgen
-        try:
-            self._run()
-        except BaseException as exc:  # noqa: BLE001 - reported upstream
-            self.error = exc
-
-    def _run(self) -> None:
-        options = {}
-        if self.fault == "kill":
-            options["kill_at"] = [self.fault_at]
+        fault_at = max(1, len(self.events) // 2)
+        options = {"kill_at": [fault_at]} if fault == "kill" else {}
         client = Detector(
             self.detector,
-            address=self.address,
-            tenant=f"loadgen-{self.index}",
+            addresses=list(self.addresses),
+            tenant=f"{self.prefix}-{self.index}-c{cycle}",
+            key=self.key,
             batch_events=self.batch_events,
             timeout=self.timeout,
             options=options,
         )
-        self.client = client
-        if self.fault == "flood":
-            # Fire-and-forget streaming: no per-batch sync, so the
-            # server's ingest queue fills and the watermark machinery
-            # (pause -> resume, shed if stuck) does the flow control.
-            client.feed(self.events)
-            client.sync()
-        else:
-            fault_pending = self.fault in (
-                DROP_CONNECTION,
-                CORRUPT_FRAME,
-                STALL_CLIENT,
-            )
-            pos = 0
-            while pos < len(self.events):
-                if fault_pending and pos >= self.fault_at:
-                    fault_pending = False
-                    _misbehave(client, self.fault, self.stall_seconds)
-                batch = self.events[pos : pos + self.batch_events]
-                client.feed(batch)
-                # Monotonic nanosecond clock: coarse wall timestamps
-                # under batching used to skew the tail percentiles.
-                t0 = time.perf_counter_ns()
+        try:
+            if fault == "flood":
+                # Fire-and-forget streaming: no per-batch sync, so the
+                # server's ingest queue fills and the watermark
+                # machinery (pause -> resume, shed if stuck) does the
+                # flow control.  The one whole-stream sync is not a
+                # per-batch ingest latency, so it is not sampled.
+                client.feed(self.events)
                 client.sync()
-                self.latencies_ns.append(time.perf_counter_ns() - t0)
-                pos += len(batch)
-        self.result = client.finish()
-        baseline = _baseline(self.detector, self.events)
-        served = {
-            "races": self.result["races"],
-            "stats": self.result["stats"],
-        }
-        self.divergent = P.dumps_canonical(served) != P.dumps_canonical(
-            baseline
+            else:
+                fault_pending = fault in (
+                    DROP_CONNECTION,
+                    CORRUPT_FRAME,
+                    STALL_CLIENT,
+                )
+                pos = 0
+                while pos < len(self.events):
+                    if fault_pending and pos >= fault_at:
+                        fault_pending = False
+                        _misbehave(client, fault)
+                    batch = self.events[pos : pos + self.batch_events]
+                    client.feed(batch)
+                    # Monotonic nanosecond clock: coarse wall timestamps
+                    # under batching used to skew the tail percentiles.
+                    t0 = time.perf_counter_ns()
+                    client.sync()
+                    self.latencies_ns.append(time.perf_counter_ns() - t0)
+                    pos += len(batch)
+            result = client.finish()
+            self.races = len(result["races"])
+            served = {"races": result["races"], "stats": result["stats"]}
+            if P.dumps_canonical(served) != P.dumps_canonical(self.baseline):
+                self.divergences += 1
+                self.divergence_notes.append(
+                    self._diff_note(cycle, fault, served, result)
+                )
+        finally:
+            self.reconnects += client.reconnects
+            self.sheds_seen += client.sheds_seen
+            self.migrations_seen += client.migrations_seen
+            self.failovers += client.failovers
+            client.close()
+
+    def _diff_note(self, cycle, fault, served, result) -> str:
+        """Forensic one-liner: *what* diverged, not just that it did."""
+        base = self.baseline
+        parts = [
+            f"tenant {self.index} cycle {cycle} fault={fault}",
+            f"events={result.get('events')}/{len(self.events)}",
+            f"races={len(served['races'])}vs{len(base['races'])}",
+        ]
+        skeys = served["stats"]
+        bkeys = base["stats"]
+        diff = [
+            k
+            for k in sorted(set(skeys) | set(bkeys))
+            if skeys.get(k) != bkeys.get(k)
+        ]
+        for k in diff[:6]:
+            parts.append(f"{k}={skeys.get(k)}vs{bkeys.get(k)}")
+        rec = result.get("recovery") or {}
+        parts.append(
+            "recovery="
+            + ",".join(f"{k}:{v}" for k, v in sorted(rec.items()) if v)
         )
+        return " ".join(parts)
 
 
-def _misbehave(client: Detector, fault: str, stall_seconds: float) -> None:
+def _misbehave(client: Detector, fault: str) -> None:
     """Act out one wire fault on a live client session."""
     if fault == DROP_CONNECTION:
         # Vanish without a goodbye; the next sync reconnect-resumes.
@@ -207,7 +296,7 @@ def _misbehave(client: Detector, fault: str, stall_seconds: float) -> None:
             client._reconnect()
     elif fault == STALL_CLIENT:
         # Go silent past the idle deadline; the server sheds us.
-        time.sleep(stall_seconds)
+        time.sleep(_STALL_SECONDS)
 
 
 def _latency_summary(latencies_ns: List[int]) -> Dict[str, object]:
@@ -225,6 +314,46 @@ def _latency_summary(latencies_ns: List[int]) -> Dict[str, object]:
     }
 
 
+@contextlib.contextmanager
+def _in_process_daemons(
+    count: int, batch_events: int, key: Optional[str] = None
+) -> Iterator[List[ServerThread]]:
+    """Start ``count`` in-process daemons on ephemeral ports.
+
+    Their checkpoints go under one temporary directory, removed at
+    exit along with the daemons.  With two daemons each is the other's
+    peer, so a drain evacuates to the survivor.  A caller that
+    restarts a daemon replaces its entry in the yielded list, so exit
+    stops the live incarnation.
+    """
+    root = tempfile.mkdtemp(prefix="repro-loadgen-")
+    handles: List[ServerThread] = []
+    try:
+        for i in range(count):
+            config = ServerConfig(
+                checkpoint_root=os.path.join(root, str(i)),
+                checkpoint_every=max(256, batch_events // 2),
+                idle_timeout=_IDLE_TIMEOUT,
+                detach_ttl=5.0,
+                shed_after=2.0,
+                # Tight watermarks so the flood tenant actually
+                # exercises pause/resume at bench scale.
+                high_watermark=96 << 10,
+                low_watermark=32 << 10,
+                auth_keys={"*": key} if key else None,
+            )
+            handles.append(ServerThread(config).start())
+        if count == 2:
+            a, b = handles
+            a.server.config.peer = b.address
+            b.server.config.peer = a.address
+        yield handles
+    finally:
+        for handle in handles:
+            handle.stop()
+        shutil.rmtree(root, ignore_errors=True)
+
+
 def run_loadgen(
     address: Optional[Tuple[str, int]] = None,
     *,
@@ -238,17 +367,16 @@ def run_loadgen(
     quick: bool = False,
     timeout: float = 30.0,
     out: Optional[str] = "BENCH_server.json",
-    server_config: Optional[ServerConfig] = None,
 ) -> Dict[str, object]:
     """Run the campaign; return (and optionally write) the bench body.
 
     With ``address=None`` an in-process daemon is started on an
     ephemeral port and torn down afterwards — the default for tests and
-    CI.  Without a ``server_config`` its checkpoints go to a temporary
-    directory removed at teardown.  Point ``address`` at a running
-    ``repro-race serve`` to bench a real deployment (the
-    ``stall-client`` fault is skipped unless that server enforces an
-    idle timeout).
+    CI; its checkpoints go to a temporary directory removed at
+    teardown.  Point ``address`` at a running ``repro-race serve`` to
+    bench a real deployment (the ``stall-client`` fault becomes a
+    dropped connection, since that server's idle timeout is unknown).
+    Each tenant runs one verified session cycle.
     """
     if quick:
         # 4 tenants = one clean + kill + drop-connection + flood, so the
@@ -257,49 +385,27 @@ def run_loadgen(
         scale = min(scale, 0.08)
         batch_events = min(batch_events, 512)
 
-    handle: Optional[ServerThread] = None
-    config: Optional[ServerConfig] = None
-    scratch: Optional[str] = None
-    stall_seconds = 0.0
-    if address is None:
-        if server_config is None:
-            scratch = tempfile.mkdtemp(prefix="repro-loadgen-")
-        config = server_config or ServerConfig(
-            checkpoint_root=scratch,
-            checkpoint_every=max(256, batch_events // 2),
-            idle_timeout=0.5,
-            detach_ttl=10.0,
-            watchdog_timeout=10.0,
-            shed_after=5.0,
-            # Tight watermarks so the flood tenant actually exercises
-            # pause/resume at bench scale.
-            high_watermark=96 << 10,
-            low_watermark=32 << 10,
-        )
-    try:
-        if config is not None:
-            handle = ServerThread(config).start()
+    in_process = address is None
+    with contextlib.ExitStack() as stack:
+        if in_process:
+            handle = stack.enter_context(
+                _in_process_daemons(1, batch_events)
+            )[0]
             address = handle.address
-            stall_seconds = (config.idle_timeout or 0.5) * 2.5
-        in_process = handle is not None
-
-        runs: List[_TenantRun] = []
-        for i in range(tenants):
-            fault = _FAULT_CYCLE[i % len(_FAULT_CYCLE)] if faults else None
-            if fault == STALL_CLIENT and not in_process:
-                fault = DROP_CONNECTION  # idle timeout unknown remotely
-            runs.append(
-                _TenantRun(
-                    i,
-                    address,
-                    _tenant_events(workload, scale, seed + i),
-                    detector,
-                    batch_events,
-                    fault,
-                    stall_seconds,
-                    timeout,
-                )
+        runs = [
+            _TenantDriver(
+                i,
+                "loadgen",
+                [address],
+                _tenant_events(workload, scale, seed + i),
+                detector=detector,
+                batch_events=batch_events,
+                faults=faults,
+                can_stall=in_process,
+                timeout=timeout,
             )
+            for i in range(tenants)
+        ]
 
         t0 = time.perf_counter()
         for run in runs:
@@ -308,28 +414,22 @@ def run_loadgen(
             run.join(timeout=300)
         wall = time.perf_counter() - t0
 
-        errors = [f"{r.name}: {r.error!r}" for r in runs if r.error]
+        errors = [f"{r.name}: {e}" for r in runs for e in r.errors]
         if errors:
             raise RuntimeError("loadgen tenants failed: " + "; ".join(errors))
 
         stats = (
             handle.server.snapshot_stats()
-            if handle is not None
+            if in_process
             else server_stats(address, timeout=timeout)
         )
-    finally:
-        if handle is not None:
-            handle.stop()
-        if scratch is not None:
-            shutil.rmtree(scratch, ignore_errors=True)
 
-    all_latencies = [ns for r in runs for ns in r.latencies_ns]
     events_total = sum(len(r.events) for r in runs)
     fault_counts: Dict[str, int] = {}
     for r in runs:
-        if r.fault:
-            fault_counts[r.fault] = fault_counts.get(r.fault, 0) + 1
-    divergences = sum(1 for r in runs if r.divergent)
+        fault = r.fault_for(0)
+        if fault:
+            fault_counts[fault] = fault_counts.get(fault, 0) + 1
 
     body: Dict[str, object] = {
         "config": {
@@ -346,7 +446,9 @@ def run_loadgen(
         "events_total": events_total,
         "wall_s": round(wall, 4),
         "throughput_eps": round(events_total / wall, 1) if wall else 0.0,
-        "latency_ms": _latency_summary(all_latencies),
+        "latency_ms": _latency_summary(
+            [ns for r in runs for ns in r.latencies_ns]
+        ),
         "faults_injected": fault_counts,
         "server": {
             key: stats.get(key, 0)
@@ -379,27 +481,34 @@ def run_loadgen(
             )
         },
         "client": {
-            "reconnects": sum(r.client.reconnects for r in runs if r.client),
-            "sheds_seen": sum(r.client.sheds_seen for r in runs if r.client),
+            "reconnects": sum(r.reconnects for r in runs),
+            "sheds_seen": sum(r.sheds_seen for r in runs),
         },
         "tenants": [
             {
                 "tenant": f"loadgen-{r.index}",
-                "fault": r.fault,
+                "fault": r.fault_for(0),
                 "events": len(r.events),
-                "races": len(r.result["races"]) if r.result else None,
-                "reconnects": r.client.reconnects if r.client else 0,
-                "divergent": r.divergent,
+                "races": r.races,
+                "reconnects": r.reconnects,
+                "divergent": bool(r.divergences),
             }
             for r in runs
         ],
-        "recovery_divergences": divergences,
+        "divergence_notes": [n for r in runs for n in r.divergence_notes][
+            :10
+        ],
+        "recovery_divergences": sum(r.divergences for r in runs),
     }
+    _write_body(body, out)
+    return body
+
+
+def _write_body(body: Dict[str, object], out: Optional[str]) -> None:
     if out:
         with open(out, "w") as fh:
             json.dump(body, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    return body
 
 
 # ----------------------------------------------------------------------
@@ -412,143 +521,6 @@ _CHAOS_CYCLE = (MIGRATE_TENANT, KILL_DAEMON, DRAIN_DAEMON)
 #: Fleet-wide shared key the soak daemons/clients authenticate with —
 #: the soak exercises the sealed wire, not key secrecy.
 SOAK_KEY = "5c" * 32
-
-
-class _SoakTenant(threading.Thread):
-    """One tenant looping full verified sessions until the deadline.
-
-    Every cycle streams the tenant's events as a fresh session (unique
-    tenant id per cycle), acts out one fault from the cycle taxonomy,
-    and compares the RESULT against the precomputed local baseline.
-    The client is given both daemon addresses, so chaos actions on one
-    host surface as failovers/migrations, not errors.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        addresses: List[Tuple[str, int]],
-        events: List[tuple],
-        baseline: dict,
-        detector: str,
-        batch_events: int,
-        key: Optional[str],
-        stall_seconds: float,
-        timeout: float,
-        deadline: float,
-    ):
-        super().__init__(name=f"soak-t{index}", daemon=True)
-        self.index = index
-        self.addresses = addresses
-        self.events = events
-        self.baseline = baseline
-        self.detector = detector
-        self.batch_events = batch_events
-        self.key = key
-        self.stall_seconds = stall_seconds
-        self.timeout = timeout
-        self.deadline = deadline
-        self.latencies_ns: List[int] = []
-        self.cycles = 0
-        self.events_streamed = 0
-        self.divergences = 0
-        self.divergence_notes: List[str] = []
-        self.errors: List[str] = []
-        self.reconnects = 0
-        self.sheds_seen = 0
-        self.migrations_seen = 0
-        self.failovers = 0
-
-    def run(self) -> None:  # pragma: no cover - exercised via run_soak
-        cycle = 0
-        while time.monotonic() < self.deadline:
-            fault = _FAULT_CYCLE[(cycle + self.index) % len(_FAULT_CYCLE)]
-            try:
-                self._one_cycle(cycle, fault)
-                self.cycles += 1
-                self.events_streamed += len(self.events)
-            except BaseException as exc:  # noqa: BLE001 - keep soaking
-                self.errors.append(
-                    f"cycle {cycle} fault={fault}: {type(exc).__name__}: "
-                    f"{exc}"
-                )
-                time.sleep(0.2)
-            cycle += 1
-
-    def _diff_note(self, cycle, fault, served, result) -> str:
-        """Forensic one-liner: *what* diverged, not just that it did."""
-        base = self.baseline
-        parts = [
-            f"tenant {self.index} cycle {cycle} fault={fault}",
-            f"events={result.get('events')}/{len(self.events)}",
-            f"races={len(served['races'])}vs{len(base['races'])}",
-        ]
-        skeys = served["stats"]
-        bkeys = base["stats"]
-        diff = [
-            k
-            for k in sorted(set(skeys) | set(bkeys))
-            if skeys.get(k) != bkeys.get(k)
-        ]
-        for k in diff[:6]:
-            parts.append(f"{k}={skeys.get(k)}vs{bkeys.get(k)}")
-        rec = result.get("recovery") or {}
-        parts.append(
-            "recovery="
-            + ",".join(f"{k}:{v}" for k, v in sorted(rec.items()) if v)
-        )
-        return " ".join(parts)
-
-    def _one_cycle(self, cycle: int, fault: Optional[str]) -> None:
-        options = {}
-        fault_at = max(1, len(self.events) // 2)
-        if fault == "kill":
-            options["kill_at"] = [fault_at]
-        client = Detector(
-            self.detector,
-            addresses=list(self.addresses),
-            tenant=f"soak-{self.index}-c{cycle}",
-            key=self.key,
-            batch_events=self.batch_events,
-            timeout=self.timeout,
-            options=options,
-        )
-        try:
-            if fault == "flood":
-                client.feed(self.events)
-                t0 = time.perf_counter_ns()
-                client.sync()
-                self.latencies_ns.append(time.perf_counter_ns() - t0)
-            else:
-                fault_pending = fault in (
-                    DROP_CONNECTION,
-                    CORRUPT_FRAME,
-                    STALL_CLIENT,
-                )
-                pos = 0
-                while pos < len(self.events):
-                    if fault_pending and pos >= fault_at:
-                        fault_pending = False
-                        _misbehave(client, fault, self.stall_seconds)
-                    batch = self.events[pos : pos + self.batch_events]
-                    client.feed(batch)
-                    t0 = time.perf_counter_ns()
-                    client.sync()
-                    self.latencies_ns.append(time.perf_counter_ns() - t0)
-                    pos += len(batch)
-            result = client.finish()
-            served = {"races": result["races"], "stats": result["stats"]}
-            if P.dumps_canonical(served) != P.dumps_canonical(self.baseline):
-                self.divergences += 1
-                self.divergence_notes.append(
-                    self._diff_note(cycle, fault, served, result)
-                )
-        finally:
-            self.reconnects += client.reconnects
-            self.sheds_seen += client.sheds_seen
-            self.migrations_seen += client.migrations_seen
-            self.failovers += client.failovers
-            client.close()
 
 
 def _merge_stats(acc: Dict[str, int], snap: Dict[str, object]) -> None:
@@ -589,6 +561,24 @@ def _respawn(config: ServerConfig, port: int) -> ServerThread:
     raise RuntimeError(f"could not rebind soak daemon on :{port}: {last}")
 
 
+def _migrate_one(
+    src: ServerThread, dst: ServerThread, key: Optional[str], timeout: float
+) -> bool:
+    """Live-migrate one attached tenant from ``src`` to ``dst``; False
+    when none is attached or it finished mid-request."""
+    live = _snapshot(src).get("tenants", {})
+    names = [name for name, row in live.items() if row.get("attached")]
+    if not names:
+        return False
+    try:
+        migrate_tenant(
+            src.address, names[0], peer=dst.address, key=key, timeout=timeout
+        )
+    except (P.ServerError, TimeoutError, OSError):
+        return False
+    return True
+
+
 def run_soak(
     *,
     seconds: float = 60.0,
@@ -602,7 +592,6 @@ def run_soak(
     timeout: float = 30.0,
     auth: bool = True,
     chaos_interval: Optional[float] = None,
-    checkpoint_root: str = ".repro-race/soak-ckpts",
     out: Optional[str] = "BENCH_server.json",
 ) -> Dict[str, object]:
     """Sustained chaos campaign against an in-process daemon pair.
@@ -610,8 +599,9 @@ def run_soak(
     Daemon A is the chaos victim (live migration to B, hard kill +
     restart, SIGTERM-style drain that evacuates to B); daemon B is the
     failover target.  Tenant threads loop verified sessions across both
-    until the deadline.  Returns the bench body (also written to
-    ``out``); divergence/SLO gating is the caller's job.
+    until the deadline.  Both daemons checkpoint into a temporary
+    directory removed at teardown.  Returns the bench body (also
+    written to ``out``); divergence gating is the caller's job.
     """
     if quick:
         tenants = min(max(tenants, 4), 4)
@@ -622,164 +612,97 @@ def run_soak(
         chaos_interval = max(1.0, seconds / 12.0)
     key = SOAK_KEY if auth else None
 
-    shutil.rmtree(checkpoint_root, ignore_errors=True)
-    base = dict(
-        checkpoint_every=max(256, batch_events // 2),
-        idle_timeout=0.5,
-        detach_ttl=5.0,
-        shed_after=2.0,
-        high_watermark=96 << 10,
-        low_watermark=32 << 10,
-        auth_keys={"*": key} if key else None,
-    )
-    b_handle = ServerThread(
-        ServerConfig(checkpoint_root=f"{checkpoint_root}/b", **base)
-    ).start()
-    a_handle = ServerThread(
-        ServerConfig(
-            checkpoint_root=f"{checkpoint_root}/a",
-            peer=b_handle.address,
-            **base,
-        )
-    ).start()
-    b_handle.server.config.peer = a_handle.address
-    addresses = [a_handle.address, b_handle.address]
-    a_port = a_handle.port
-    stall_seconds = base["idle_timeout"] * 2.5
-
-    runs: List[_SoakTenant] = []
-    deadline = time.monotonic() + seconds
-    t0 = time.perf_counter()
-    for i in range(tenants):
-        events = _tenant_events(workload, scale, seed + i)
-        runs.append(
-            _SoakTenant(
-                i,
-                addresses,
-                events,
-                _baseline(detector, events),
-                detector,
-                batch_events,
-                key,
-                stall_seconds,
-                timeout,
-                deadline,
-            )
-        )
-    for run in runs:
-        run.start()
-
     acc: Dict[str, int] = {}
     chaos_counts = {kind: 0 for kind in _CHAOS_CYCLE}
     chaos_errors: List[str] = []
     migrations_live = 0
-    actions = itertools.cycle(_CHAOS_CYCLE)
-    next_chaos = time.monotonic() + chaos_interval
-    while time.monotonic() < deadline and any(r.is_alive() for r in runs):
-        time.sleep(0.2)
-        if time.monotonic() < next_chaos:
-            continue
+    with _in_process_daemons(2, batch_events, key) as handles:
+        addresses = [h.address for h in handles]
+        a_port = handles[0].port
+
+        def driver(index: int, events, **kw) -> _TenantDriver:
+            return _TenantDriver(
+                index,
+                "soak",
+                addresses,
+                events,
+                detector=detector,
+                batch_events=batch_events,
+                key=key,
+                timeout=timeout,
+                **kw,
+            )
+
+        deadline = time.monotonic() + seconds
+        t0 = time.perf_counter()
+        runs = [
+            driver(
+                i,
+                _tenant_events(workload, scale, seed + i),
+                deadline=deadline,
+            )
+            for i in range(tenants)
+        ]
+        for run in runs:
+            run.start()
+
+        actions = itertools.cycle(_CHAOS_CYCLE)
         next_chaos = time.monotonic() + chaos_interval
-        action = next(actions)
-        try:
-            if action == MIGRATE_TENANT:
-                # Push one live tenant off whichever daemon holds it.
-                moved = False
-                for src, dst in (
-                    (a_handle, b_handle),
-                    (b_handle, a_handle),
-                ):
-                    live = _snapshot(src).get("tenants", {})
-                    names = [
-                        name
-                        for name, row in live.items()
-                        if row.get("attached")
-                    ]
-                    if not names:
-                        continue
-                    try:
-                        migrate_tenant(
-                            src.address,
-                            names[0],
-                            peer=dst.address,
-                            key=key,
-                            timeout=timeout,
-                        )
-                        moved = True
+        while time.monotonic() < deadline and any(
+            r.is_alive() for r in runs
+        ):
+            time.sleep(0.2)
+            if time.monotonic() < next_chaos:
+                continue
+            next_chaos = time.monotonic() + chaos_interval
+            action = next(actions)
+            a_handle, b_handle = handles
+            try:
+                if action == MIGRATE_TENANT:
+                    # Push one live tenant off whichever daemon holds it.
+                    if _migrate_one(
+                        a_handle, b_handle, key, timeout
+                    ) or _migrate_one(b_handle, a_handle, key, timeout):
                         migrations_live += 1
-                        break
-                    except (P.ServerError, TimeoutError, OSError):
-                        continue  # tenant finished mid-request; fine
-                if moved:
-                    chaos_counts[MIGRATE_TENANT] += 1
-            elif action == KILL_DAEMON:
-                a_handle.kill()
-                # The loop is stopped; reading the dead incarnation's
-                # counters is single-threaded and safe.
-                _merge_stats(acc, a_handle.server.snapshot_stats())
-                a_handle = _respawn(a_handle.server.config, a_port)
-                chaos_counts[KILL_DAEMON] += 1
-            elif action == DRAIN_DAEMON:
-                # SIGTERM-style drain: with a peer configured this
-                # evacuates every live tenant to B before stopping.
-                a_handle.stop(drain=True)
-                _merge_stats(acc, a_handle.server.snapshot_stats())
-                a_handle = _respawn(a_handle.server.config, a_port)
-                chaos_counts[DRAIN_DAEMON] += 1
-        except Exception as exc:  # noqa: BLE001 - chaos must not abort
-            chaos_errors.append(f"{action}: {type(exc).__name__}: {exc}")
+                        chaos_counts[MIGRATE_TENANT] += 1
+                elif action == KILL_DAEMON:
+                    a_handle.kill()
+                    # The loop is stopped; reading the dead
+                    # incarnation's counters is single-threaded and safe.
+                    _merge_stats(acc, a_handle.server.snapshot_stats())
+                    handles[0] = _respawn(a_handle.server.config, a_port)
+                    chaos_counts[KILL_DAEMON] += 1
+                elif action == DRAIN_DAEMON:
+                    # SIGTERM-style drain: with a peer configured this
+                    # evacuates every live tenant to B before stopping.
+                    a_handle.stop(drain=True)
+                    _merge_stats(acc, a_handle.server.snapshot_stats())
+                    handles[0] = _respawn(a_handle.server.config, a_port)
+                    chaos_counts[DRAIN_DAEMON] += 1
+            except Exception as exc:  # noqa: BLE001 - chaos must not abort
+                chaos_errors.append(f"{action}: {type(exc).__name__}: {exc}")
 
-    for run in runs:
-        run.join(timeout=300)
-    wall = time.perf_counter() - t0
+        for run in runs:
+            run.join(timeout=300)
+        wall = time.perf_counter() - t0
 
-    # Guaranteed live migration: if every scheduled one raced a
-    # finishing tenant, force one final verified migration round trip.
-    if migrations_live == 0:
-        forced = _SoakTenant(
-            tenants,
-            addresses,
-            runs[0].events,
-            runs[0].baseline,
-            detector,
-            batch_events,
-            key,
-            stall_seconds,
-            timeout,
-            deadline=time.monotonic() + timeout,
-        )
-        forcer = threading.Thread(
-            target=forced._one_cycle, args=(0, None), daemon=True
-        )
-        forcer.start()
-        for _ in range(100):
-            live = _snapshot(a_handle).get("tenants", {})
-            names = [n for n, r in live.items() if r.get("attached")]
-            if names:
-                try:
-                    migrate_tenant(
-                        a_handle.address,
-                        names[0],
-                        peer=b_handle.address,
-                        key=key,
-                        timeout=timeout,
-                    )
+        # Guaranteed live migration: if every scheduled one raced a
+        # finishing tenant, force one final verified migration round
+        # trip with a clean one-cycle tenant.
+        if migrations_live == 0:
+            forced = driver(tenants, runs[0].events, faults=False)
+            forced.start()
+            for _ in range(100):
+                if _migrate_one(handles[0], handles[1], key, timeout):
                     migrations_live += 1
                     chaos_counts[MIGRATE_TENANT] += 1
                     break
-                except (P.ServerError, TimeoutError, OSError):
-                    pass
-            time.sleep(0.05)
-        forcer.join(timeout=60)
-        runs.append(forced)
+                time.sleep(0.05)
+            forced.join(timeout=60)
+            runs.append(forced)
+    for handle in handles:
+        _merge_stats(acc, handle.server.snapshot_stats())
 
-    a_handle.stop()
-    b_handle.stop()
-    _merge_stats(acc, a_handle.server.snapshot_stats())
-    _merge_stats(acc, b_handle.server.snapshot_stats())
-
-    events_total = sum(r.events_streamed for r in runs)
-    divergences = sum(r.divergences for r in runs)
     tenant_errors = [e for r in runs for e in r.errors]
     body: Dict[str, object] = {
         "config": {
@@ -794,9 +717,13 @@ def run_soak(
             "in_process_server": True,
             "auth": bool(key),
         },
-        "events_total": events_total,
+        "events_total": sum(r.events_streamed for r in runs),
         "wall_s": round(wall, 4),
-        "throughput_eps": round(events_total / wall, 1) if wall else 0.0,
+        "throughput_eps": (
+            round(sum(r.events_streamed for r in runs) / wall, 1)
+            if wall
+            else 0.0
+        ),
         "latency_ms": _latency_summary(
             [ns for r in runs for ns in r.latencies_ns]
         ),
@@ -832,12 +759,9 @@ def run_soak(
             }
             for r in runs
         ],
-        "recovery_divergences": divergences,
+        "recovery_divergences": sum(r.divergences for r in runs),
     }
-    if out:
-        with open(out, "w") as fh:
-            json.dump(body, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    _write_body(body, out)
     return body
 
 
@@ -898,4 +822,6 @@ def format_loadgen(body: Dict[str, object]) -> str:
         f"{srv['wedges']} wedge(s), {srv['reconnects']} reconnect(s)",
         f"  recovery divergences: {body['recovery_divergences']}",
     ]
+    for note in body.get("divergence_notes", ()):
+        lines.append(f"    ! diverged: {note}")
     return "\n".join(lines)

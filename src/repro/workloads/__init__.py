@@ -12,7 +12,7 @@ See DESIGN.md §2 for the substitution argument and
 :mod:`repro.workloads.registry` for the catalogue.
 """
 
-from repro.workloads.base import Workload, WorkloadResult
+from repro.workloads.base import Workload
 from repro.workloads.registry import (
     all_workloads,
     build_trace,
@@ -22,7 +22,6 @@ from repro.workloads.registry import (
 
 __all__ = [
     "Workload",
-    "WorkloadResult",
     "all_workloads",
     "workload_names",
     "get_workload",

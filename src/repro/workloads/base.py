@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 from repro.runtime.program import GLOBAL_BASE, Program, ops
 from repro.runtime.scheduler import Scheduler
@@ -45,23 +44,6 @@ class Workload:
     def trace(self, scale: float = 1.0, seed: int = 0) -> Trace:
         """Schedule the program into a replayable trace."""
         return Scheduler(seed=seed).run(self.build(scale=scale, seed=seed))
-
-
-@dataclass
-class WorkloadResult:
-    """One (workload, detector) measurement row for the tables."""
-
-    workload: str
-    detector: str
-    events: int
-    wall_time: float
-    base_time: float
-    races: int
-    stats: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def slowdown(self) -> float:
-        return self.wall_time / self.base_time if self.base_time > 0 else 0.0
 
 
 # ----------------------------------------------------------------------

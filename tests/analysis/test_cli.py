@@ -191,38 +191,47 @@ def test_golden_cli_verify_flags_problems(tmp_path, capsys):
     assert "no manifest" in capsys.readouterr().out
 
 
-def test_bench_command_writes_json(tmp_path, monkeypatch, capsys):
+def _grid_row(rate, recall=1.0, identical=None):
+    return {
+        "trace": "t",
+        "inner": "fasttrack-byte",
+        "sampler": "pacer",
+        "rate": rate,
+        "recall": recall,
+        "effective_rate": rate,
+        "identical": identical,
+    }
+
+
+@pytest.mark.parametrize(
+    "rows, rc",
+    [
+        ([_grid_row(0.25, 0.9), _grid_row(1.0, identical=True)], 0),
+        ([_grid_row(0.25, 0.9), _grid_row(1.0, identical=False)], 1),
+        ([_grid_row(0.25, 0.5), _grid_row(1.0, identical=True)], 1),
+    ],
+    ids=["ok", "identity", "floor"],
+)
+def test_sampling_command_gates(rows, rc, tmp_path, monkeypatch, capsys):
     import json
 
+    from repro.perf import sampling
+
     monkeypatch.chdir(tmp_path)
-    out = "BENCH_slowdown.json"
-    rc = main(
-        [
-            "bench", "--out", out,
-            "--workloads", "pbzip2",
-            "--detectors", "fasttrack-word",
-            "--scale", "0.2", "--repeats", "1",
-        ]
-    )
-    assert rc == 0
+    monkeypatch.setattr(sampling, "grid_rows", lambda *a, **k: rows)
+    out = "grid.json"
+    assert main(["sampling", "--out", out]) == rc
     with open(out) as fh:
-        result = json.load(fh)
-    assert result["schema"] == "repro-race-bench/v1"
-    assert result["conformance"]["divergences"] == 0
-    row = result["workloads"]["pbzip2"]["detectors"]["fasttrack-word"]
-    assert row["conforms"]
-    assert row["batched"]["events_per_sec"] > 0
-    assert result["config"]["workloads"] == ["pbzip2"]
-    captured = capsys.readouterr().out
-    assert "pbzip2" in captured
-    assert "conformance" in captured
-    # The result file is the only thing a bench run writes.
+        report = json.load(fh)
+    assert report["schema"] == sampling.SAMPLING_SCHEMA
+    assert report["rows"] == rows
+    assert ("FAIL" in capsys.readouterr().out) == bool(rc)
+    # The result file is the only thing a sampling run writes.
     assert [p.name for p in tmp_path.iterdir()] == [out]
 
 
-def test_bench_rejects_unknown_names(capsys):
-    assert main(["bench", "--workloads", "nope"]) == 2
-    assert main(["bench", "--detectors", "bogus"]) == 2
-    out = capsys.readouterr().out
-    assert "unknown workload" in out
-    assert "unknown detector" in out
+def test_bench_command_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--quick"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err

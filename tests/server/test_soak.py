@@ -139,21 +139,67 @@ def test_in_process_daemon_leaves_no_checkpoints_behind(tmp_path, monkeypatch):
     assert list(scratch.iterdir()) == []
 
 
+def test_tenant_driver_closes_its_client_when_a_cycle_raises(monkeypatch):
+    """A cycle that raises is recorded, and its client is still closed
+    (no leaked socket)."""
+    from repro.server import loadgen
+
+    closed = []
+
+    class _Broken:
+        reconnects = sheds_seen = migrations_seen = failovers = 0
+
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def feed(self, events):
+            raise OSError("wire cut")
+
+        def close(self):
+            closed.append(True)
+
+    monkeypatch.setattr(loadgen, "Detector", _Broken)
+    monkeypatch.setattr(loadgen, "_baseline", lambda detector, events: {})
+    driver = loadgen._TenantDriver(
+        0,
+        "t",
+        [("127.0.0.1", 1)],
+        [(0, 0, 0, 0, 0)] * 4,
+        detector="fasttrack",
+        batch_events=2,
+        faults=False,
+    )
+    driver.run()
+    assert closed == [True]
+    assert driver.cycles == 0
+    assert len(driver.errors) == 1 and "wire cut" in driver.errors[0]
+
+
 class TestChaosSoak:
-    def test_mini_soak_survives_chaos(self, tmp_path):
+    def test_mini_soak_survives_chaos(self, tmp_path, monkeypatch):
         """A short fully-loaded soak against the daemon pair: live
         migrations, a hard kill, a drain — zero divergences, zero
-        tenant errors, and a body the SLO gate can consume."""
+        tenant errors, and nothing left behind but the result file."""
+        import tempfile
+
         from repro.runtime.faults import KILL_DAEMON, MIGRATE_TENANT
         from repro.server.loadgen import run_soak
 
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.chdir(tmp_path)
         body = run_soak(
             seconds=6.0,
             quick=True,
             chaos_interval=1.0,
-            checkpoint_root=str(tmp_path / "soak-ckpts"),
-            out=str(tmp_path / "BENCH_server.json"),
+            out="BENCH_server.json",
         )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "BENCH_server.json",
+            "tmp",
+        ]
+        assert list(scratch.iterdir()) == []
         soak = body["soak"]
         assert body["recovery_divergences"] == 0, soak["divergence_notes"]
         assert soak["tenant_error_count"] == 0, soak["tenant_errors"]

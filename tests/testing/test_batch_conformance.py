@@ -63,3 +63,14 @@ def test_embedded_workloads_conform(workload, detector):
     w = get_workload(workload)
     for seed in SEEDS:
         _assert_conforms(w.trace(scale=SCALE, seed=seed), detector)
+
+
+@pytest.mark.parametrize("detector", DETECTORS)
+@pytest.mark.parametrize("workload", ("streamcluster", "pbzip2", "facesim"))
+def test_sweep_workloads_conform_at_larger_scale(workload, detector):
+    """The two workloads whose sequential sweeps coalesce most, plus
+    facesim as a low-compression control, at scale 0.3 (seed 1)."""
+    from repro.workloads.registry import get_workload
+
+    trace = get_workload(workload).trace(scale=0.3, seed=1)
+    _assert_conforms(trace, detector)
