@@ -326,10 +326,8 @@ def fuzz_schedules(
                 shadow_budget=shadow_budget,
                 kills=kills,
             )
-            # No watchdog: the trial's _time_limit already owns SIGALRM.
-            supervisor = Supervisor(session, sleep=lambda _s: None)
             try:
-                resumed = supervisor.run()
+                resumed = Supervisor(session).run()
             except SupervisorError:
                 result.recovery_divergences += 1
                 return

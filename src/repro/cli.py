@@ -323,7 +323,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the multi-tenant detection daemon "
         "(see docs/ALGORITHM.md §13)",
     )
-    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument(
+        "--host", default="127.0.0.1",
+        help="listen address; anything but loopback requires --keys",
+    )
     serve.add_argument(
         "--port", type=int, default=7432, help="0 picks an ephemeral port"
     )
@@ -822,12 +825,33 @@ def _parse_keys(spec: str):
     return keys
 
 
+def _is_loopback(host: str) -> bool:
+    import ipaddress
+
+    if host == "localhost":
+        return True
+    try:
+        return ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        return False
+
+
 def _cmd_serve(args) -> int:
     import asyncio
     import signal
 
     from repro.server.daemon import RaceServer, ServerConfig
 
+    if not args.keys and not _is_loopback(args.host):
+        # An unkeyed daemon accepts MIGRATE_IMPORT from any client, and
+        # restoring an imported checkpoint can unpickle the sender's
+        # bytes (docs/ALGORITHM.md §15.2).
+        print(
+            f"repro-race serve: refusing --host {args.host} without "
+            f"--keys: only a loopback address may serve unauthenticated",
+            file=sys.stderr,
+        )
+        return 2
     config = ServerConfig(
         host=args.host,
         port=args.port,

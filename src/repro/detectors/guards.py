@@ -309,8 +309,8 @@ class GuardedDetector(DetectorWrapper):
     def restore_state(self, state: dict) -> None:
         """Restore guard + inner state.
 
-        A bare inner-detector state (from an unguarded session that was
-        later degraded into a guarded one) is also accepted: the inner
+        A bare inner-detector state (from an unguarded session resumed
+        under a budget) is also accepted: the inner
         detector is restored and the guard counters start fresh.  Either
         way the budget is enforced immediately afterwards, so a restore
         that lands over budget degrades through the shedding ladder on

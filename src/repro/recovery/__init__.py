@@ -13,16 +13,16 @@ byte-identical races and statistics to an uninterrupted one.
   checksum) + zlib-compressed deterministic JSON state, written
   atomically, with typed :class:`CheckpointError` rejection of
   corrupt/mismatched files.
-* :mod:`repro.recovery.session` — :class:`DetectionSession` replays a
-  trace with periodic checkpoints at dispatch-feed boundaries, and
-  :class:`Supervisor` adds a watchdog, bounded exponential-backoff
-  retry, fall-back through older checkpoints, and degradation into the
-  :class:`~repro.detectors.guards.GuardedDetector` shedding ladder.
+* :mod:`repro.recovery.session` — :class:`CheckpointedSession`, the one
+  recovery core: detector construction, planned kills, checkpoints at
+  feed boundaries, and restore from the newest good generation.
+  :class:`DetectionSession` feeds it a trace (the service tenants feed
+  it a stream), and :class:`Supervisor` retries a session after a
+  planned kill, a crash or a refused checkpoint.
 * :mod:`repro.recovery.watchdog` — the shared thread-safe
-  monotonic-deadline timer behind every timeout above: one monitor
-  thread, cooperative :class:`Deadline` handles usable off the main
-  thread (the supervisor keeps SIGALRM only as a main-thread hard
-  backstop).
+  monotonic-deadline timer behind the daemon's per-slice deadline: one
+  monitor thread, cooperative :class:`Deadline` handles usable off the
+  main thread.
 """
 
 from repro.recovery.checkpoint import (
@@ -34,11 +34,12 @@ from repro.recovery.checkpoint import (
 )
 from repro.recovery.session import (
     LATEST,
+    CheckpointedSession,
     DetectionSession,
     DetectorKilled,
+    RecoveryExhausted,
     Supervisor,
     SupervisorError,
-    WatchdogTimeout,
 )
 from repro.recovery.watchdog import (
     Deadline,
@@ -53,11 +54,12 @@ __all__ = [
     "read_manifest",
     "write_checkpoint",
     "LATEST",
+    "CheckpointedSession",
     "DetectionSession",
     "DetectorKilled",
+    "RecoveryExhausted",
     "Supervisor",
     "SupervisorError",
-    "WatchdogTimeout",
     "Deadline",
     "MonotonicWatchdog",
     "shared_watchdog",

@@ -19,9 +19,9 @@ either the previous file or none, never a truncated one.
 Every load failure is a typed :class:`CheckpointError`: bad magic,
 truncation, checksum mismatch, undecodable payload, unknown schema
 version, or a manifest that does not match the session (wrong trace
-digest, wrong detector, wrong dispatch mode).  The supervisor treats
-any of them as "this checkpoint is gone" and falls back to the previous
-one.
+digest, wrong detector, wrong dispatch mode).  A session restoring its
+newest good generation treats any of them as "this checkpoint is gone"
+and falls back to the previous one.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ def wrap_detector(inner, shadow_budget: Optional[int]):
 def restore_detector(det, state: dict) -> None:
     """Restore checkpoint ``state`` into ``det``.
 
-    A guarded state (from a degraded or budgeted attempt) restores into
-    an unguarded detector as its inner state.
+    A guarded state (from a budgeted session) restores into an
+    unguarded detector as its inner state.
     """
     if state.get("kind") == "guarded" and not isinstance(det, GuardedDetector):
         state = state["inner"]

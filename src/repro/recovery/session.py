@@ -1,41 +1,41 @@
-"""Resumable detection sessions and their supervisor.
+"""Checkpointed detection sessions and their supervisor.
 
-:class:`DetectionSession` replays one trace through one detector,
-writing a checkpoint every N *original trace events*.  Checkpoints land
-only at dispatch-feed boundaries: under batched dispatch a coalesced
-run is one feed item, so a checkpoint can never split a ranged callback
-— the state captured is exactly the state an uninterrupted replay has
-at that boundary.  That is what makes the hard invariant hold: a run
-killed at any point and resumed from its last good checkpoint reports
+:class:`CheckpointedSession` is the one recovery core.  It builds the
+detector, fires planned kills, writes a checkpoint every N *original
+events* at a feed boundary, and restores the newest good checkpoint
+generation.  Two sessions share it:
+
+* :class:`DetectionSession` feeds it a trace, plain or coalesced.  The
+  trace can be re-read from any cursor, so a resume simply continues
+  from the checkpoint it restored.
+* :class:`~repro.server.tenant.TenantSession` feeds it an open-ended
+  event stream.  It keeps its own replay window (the *tail*): a resume
+  restores a checkpoint and re-drives the tail up to the committed
+  cursor.
+
+Checkpoints land only at feed boundaries.  Under batched dispatch a
+coalesced run is one feed item, so a checkpoint can never split a
+ranged callback: the state captured is exactly the state an
+uninterrupted replay has at that boundary.  That is what makes the
+hard invariant hold: a run killed at any point and resumed reports
 **byte-identical races and statistics** to a run that was never
 interrupted (``statistics()["recovery"]`` excepted — that section
-exists precisely to record the interruption history).
-
-:class:`Supervisor` wraps a session with the process-level robustness
-the fuzz campaigns need: a monotonic-deadline watchdog (shared timer
-thread, works from any thread; SIGALRM stays armed on the main thread
-as a hard backstop for non-cooperative wedges), bounded retry with
-exponential backoff, fall-back through older checkpoints when the
-newest is corrupt (typed :class:`CheckpointError`), and — when retries
-are exhausted — degradation into the
-:class:`~repro.detectors.guards.GuardedDetector` shedding ladder
-instead of aborting, so an overloaded resume sheds shadow state and
-continues rather than dying again.
+records the interruption history).
 
 Injected detector deaths (``kill-detector-at-event`` faults from
-:mod:`repro.runtime.faults`) raise :class:`DetectorKilled` at the next
-feed boundary; each planned kill fires exactly once per session object,
-so a resumed attempt replays past the kill point instead of dying in a
-loop.
+:mod:`repro.runtime.faults`) raise :class:`DetectorKilled`; each planned
+kill fires exactly once per session object, so a resumed attempt
+replays past the kill point instead of dying in a loop.
+
+:class:`Supervisor` retries a :class:`DetectionSession` after a planned
+kill, a crash or a refused checkpoint until it completes, giving up
+after :data:`MAX_RETRIES` genuine failures.
 """
 
 from __future__ import annotations
 
-import signal
-import threading
 import time
 from bisect import bisect_left
-from contextlib import contextmanager
 from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Union
 
@@ -49,13 +49,16 @@ from repro.recovery.checkpoint import (
     wrap_detector,
     write_checkpoint,
 )
-from repro.recovery.watchdog import shared_watchdog
 from repro.runtime.faults import FaultPlan
 from repro.runtime.trace import Trace
 from repro.runtime.vm import ReplayResult, drive, handlers
 
 #: Sentinel for "resume from the newest good checkpoint, if any".
 LATEST = "latest"
+
+#: Genuine failures (crashes, refused checkpoints) a supervised run
+#: survives before giving up.  Planned kills do not count.
+MAX_RETRIES = 5
 
 
 class DetectorKilled(Exception):
@@ -66,25 +69,268 @@ class DetectorKilled(Exception):
         self.at_event = at_event
 
 
-class WatchdogTimeout(Exception):
-    """The supervisor's watchdog expired mid-attempt."""
+class RecoveryExhausted(Exception):
+    """No checkpoint generation (nor a cold restart) can resume this
+    session: its state is unrecoverable and the session must restart."""
 
 
 class SupervisorError(RuntimeError):
-    """Retries exhausted (and degradation unavailable or already used)."""
+    """Retries exhausted."""
 
 
-class DetectionSession:
-    """A checkpointed replay of ``trace`` through one detector.
+class CheckpointedSession:
+    """One detector, its kill points, checkpoints and replay window.
 
-    ``detector`` is a registry name or a zero-argument factory; a fresh
-    instance is built for every attempt so a crashed detector's
-    possibly-corrupt state is never reused — resume always restores
-    into a pristine object.  With ``shadow_budget`` set the detector is
-    wrapped in a :class:`GuardedDetector` (and the budget is enforced
-    immediately after every restore, so an over-budget resume degrades
-    through the shedding ladder on the spot).
+    ``detector`` is a registry name (built with ``suppress``) or a
+    zero-argument factory; every restore builds a fresh instance, so a
+    crashed detector's possibly-corrupt state is never reused.  With
+    ``shadow_budget`` set the detector runs inside a
+    :class:`~repro.detectors.guards.GuardedDetector`.  Checkpoints are
+    keyed on the unguarded detector's name, so a checkpoint written
+    unguarded resumes into a guarded session.
+
+    The committed cursors :attr:`feed_done` (feed items) and
+    :attr:`events_done` (original events) move only in :meth:`_commit`,
+    after a segment was fully dispatched.  ``_tail`` is the replay
+    window: ``None`` when the event source can rewind to any checkpoint
+    (a trace), else the committed feed items from ``_tail_base`` on.
     """
+
+    def __init__(
+        self,
+        detector: Union[str, Callable],
+        *,
+        checkpoint_dir: str,
+        checkpoint_every: int,
+        keep_checkpoints: int,
+        suppress: Optional[Callable[[int], bool]],
+        shadow_budget: Optional[int],
+        kills: Optional[List[int]],
+        digest: str,
+        trace_name: str,
+        batched: bool = False,
+        batch_span: Optional[int] = None,
+    ):
+        if checkpoint_every < 1:
+            raise ValueError(
+                f"checkpoint_every must be >= 1, got {checkpoint_every}"
+            )
+        if keep_checkpoints < 2:
+            # One fallback generation minimum: recovery must survive a
+            # corrupt newest checkpoint.
+            raise ValueError(
+                f"keep_checkpoints must be >= 2, got {keep_checkpoints}"
+            )
+        self.detector = detector
+        self.checkpoint_dir = checkpoint_dir
+        self.checkpoint_every = checkpoint_every
+        self.keep_checkpoints = keep_checkpoints
+        self.suppress = suppress
+        self.shadow_budget = shadow_budget
+        self.batched = batched
+        self._span = batch_span
+        self._digest = digest
+        self._trace_name = trace_name
+        #: sorted planned kill points (original-event indices)
+        self._kills = sorted(kills or [])
+        self._next_kill = 0
+        self._store = CheckpointDir(checkpoint_dir, keep_checkpoints)
+        self.det = self._make_detector()
+        self._label = (
+            self.det.inner if shadow_budget is not None else self.det
+        ).name
+        self.feed_done = 0
+        self.events_done = 0
+        self._next_mark = checkpoint_every
+        self._tail: Optional[list] = None
+        self._tail_base = 0
+        #: interruption history, merged into ``statistics()["recovery"]``
+        self.recovery = {
+            "checkpoints_written": 0,
+            "checkpoints_gced": 0,
+            "resumes": 0,
+            "cold_restarts": 0,
+            "last_resume_event": None,
+            "kills_fired": 0,
+            "crashes": 0,
+            "retries": 0,
+            "bad_checkpoints": 0,
+            "shadow_budget": shadow_budget,
+        }
+
+    def _make_detector(self):
+        if callable(self.detector):
+            inner = self.detector()
+        else:
+            from repro.detectors.registry import create_detector
+
+            inner = create_detector(self.detector, suppress=self.suppress)
+        return wrap_detector(inner, self.shadow_budget)
+
+    # ------------------------------------------------------------------
+    # kill points
+    # ------------------------------------------------------------------
+    def _pending_kill(self) -> Optional[int]:
+        """The next planned kill point, or None."""
+        if self._next_kill < len(self._kills):
+            return self._kills[self._next_kill]
+        return None
+
+    def _fire_kill(self) -> None:
+        at = self._kills[self._next_kill]
+        self._next_kill += 1
+        self.recovery["kills_fired"] += 1
+        raise DetectorKilled(at)
+
+    # ------------------------------------------------------------------
+    # checkpoints
+    # ------------------------------------------------------------------
+    def checkpoints(self) -> List[str]:
+        """Existing non-discarded checkpoint paths, oldest first."""
+        return self._store.paths()
+
+    def discard_checkpoint(self, path: str) -> None:
+        """Drop a checkpoint that failed to load; it is never offered
+        again, even if deleting the file failed."""
+        self._store.discard(path)
+
+    def _commit(self, items: int, events: int) -> None:
+        """Count a fully dispatched segment; checkpoint at marks."""
+        self.feed_done += items
+        self.events_done += events
+        if self.events_done >= self._next_mark:
+            self.checkpoint_now()
+
+    def checkpoint_now(self) -> None:
+        """Write a checkpoint at the committed cursor, prune old
+        generations and trim the replay window to the oldest one left."""
+        write_checkpoint(
+            self._store.path_for(self.events_done),
+            self.det.snapshot_state(),
+            detector=self._label,
+            event_cursor=self.events_done,
+            feed_cursor=self.feed_done,
+            trace_digest=self._digest,
+            trace_name=self._trace_name,
+            batched=self.batched,
+            batch_span=self._span,
+        )
+        self.recovery["checkpoints_written"] += 1
+        self.recovery["checkpoints_gced"] += self._store.prune()
+        self._set_next_mark()
+        if self._tail is None:
+            return
+        # Resume never rewinds past the oldest retained checkpoint.
+        found = self._store.paths()
+        oldest = CheckpointDir.cursor_of(found[0]) if found else 0
+        if oldest > self._tail_base:
+            del self._tail[: oldest - self._tail_base]
+            self._tail_base = oldest
+
+    def _set_next_mark(self) -> None:
+        every = self.checkpoint_every
+        self._next_mark = (self.events_done // every + 1) * every
+
+    def _check_manifest(self, manifest: dict, label: str) -> None:
+        """Refuse a checkpoint written for another trace, detector or
+        dispatch mode (:class:`CheckpointError`)."""
+        validate_manifest(
+            manifest,
+            path=label,
+            trace_digest=self._digest,
+            detector=self._label,
+            batched=self.batched,
+            batch_span=self._span,
+        )
+
+    # ------------------------------------------------------------------
+    # restore
+    # ------------------------------------------------------------------
+    def resume(self, path: Optional[str] = None) -> int:
+        """Replace the detector with a fresh one restored from a
+        checkpoint; returns the event cursor restored from.
+
+        With ``path`` that file is restored or :class:`CheckpointError`
+        is raised.  Without it the newest good generation is used: each
+        file that fails to load is discarded and the previous one tried.
+        When none is left, the session restarts cold if its replay
+        window reaches event 0 and raises :class:`RecoveryExhausted`
+        otherwise.  With a replay window the restored detector is
+        re-driven up to the committed cursor; without one the committed
+        cursor moves to the checkpoint's.
+        """
+        explicit = path is not None
+        while True:
+            if not explicit:
+                found = self._store.paths()
+                if not found:
+                    return self._cold_restart()
+                path = found[-1]
+            try:
+                det, manifest = self._load(path)
+            except CheckpointError:
+                self.recovery["bad_checkpoints"] += 1
+                if explicit:
+                    raise
+                self._store.discard(path)
+                continue
+            cursor = manifest["event_cursor"]
+            self._install(det, manifest["feed_cursor"], cursor)
+            self.recovery["resumes"] += 1
+            self.recovery["last_resume_event"] = cursor
+            return cursor
+
+    def _load(self, path: str):
+        manifest, state = read_checkpoint(path)
+        self._check_manifest(manifest, path)
+        cursor = manifest["feed_cursor"]
+        if self._tail is not None and not (
+            self._tail_base <= cursor <= self.feed_done
+        ):
+            # A stale file from a previous incarnation: the window
+            # cannot bridge it to the committed cursor.
+            raise CheckpointError(
+                f"{path}: feed cursor {cursor} is outside the replay "
+                f"window [{self._tail_base}, {self.feed_done}]"
+            )
+        det = self._make_detector()
+        try:
+            restore_detector(det, state)
+        except Exception as exc:  # noqa: BLE001 - checksummed, yet unusable
+            raise CheckpointError(
+                f"{path}: state does not restore: {exc!r}"
+            ) from exc
+        return det, manifest
+
+    def _cold_restart(self) -> int:
+        if self._tail_base:
+            raise RecoveryExhausted(
+                f"{self._trace_name}: no usable checkpoint and the replay "
+                f"window starts at event {self._tail_base}"
+            )
+        self._install(self._make_detector(), 0, 0)
+        self.recovery["cold_restarts"] += 1
+        self.recovery["last_resume_event"] = 0
+        return 0
+
+    def _install(self, det, feed_cursor: int, event_cursor: int) -> None:
+        """Make ``det``, restored at the given cursors, the live
+        detector at the committed cursor."""
+        if self._tail is None:
+            self.feed_done, self.events_done = feed_cursor, event_cursor
+        else:
+            drive(
+                self._tail,
+                handlers(det),
+                feed_cursor - self._tail_base,
+                self.feed_done - self._tail_base,
+            )
+        self.det = det
+        self._set_next_mark()
+
+
+class DetectionSession(CheckpointedSession):
+    """A checkpointed replay of ``trace`` through one detector."""
 
     def __init__(
         self,
@@ -100,121 +346,31 @@ class DetectionSession:
         kills: Union[FaultPlan, List[int], None] = None,
         keep_checkpoints: int = 3,
     ):
-        if checkpoint_every < 1:
-            raise ValueError(
-                f"checkpoint_every must be >= 1, got {checkpoint_every}"
-            )
-        if keep_checkpoints < 2:
-            # One fallback generation minimum: the whole point of the
-            # supervisor is surviving a corrupt newest checkpoint.
-            raise ValueError(
-                f"keep_checkpoints must be >= 2, got {keep_checkpoints}"
-            )
-        self.trace = trace
-        self.detector = detector
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_every = checkpoint_every
-        self.batched = batched
-        self.batch_span = batch_span
-        self.suppress = suppress
-        self.shadow_budget = shadow_budget
-        self.keep_checkpoints = keep_checkpoints
         if isinstance(kills, FaultPlan):
-            self._kills = kills.detector_kill_events()
-        else:
-            self._kills = sorted(kills) if kills else []
-        self._next_kill = 0
-        #: cooperative abort hook, polled at every feed boundary: when it
-        #: returns True the attempt raises :class:`WatchdogTimeout`.  The
-        #: supervisor points this at a monotonic
-        #: :class:`~repro.recovery.watchdog.Deadline` so its timeout works
-        #: off the main thread, where SIGALRM cannot.
-        self.abort_check: Optional[Callable[[], bool]] = None
-        self._store = CheckpointDir(checkpoint_dir, keep_checkpoints)
-        # sha256 of the trace's canonical binary form (Trace.binlog):
-        # manifests commit to the exact bytes the codec round-trips,
-        # not to Python repr formatting.
-        self._digest = trace.digest()
-        self._label = self._detector_label()
-        #: interruption history, merged into ``statistics()["recovery"]``
-        self.recovery = {
-            "checkpoints_written": 0,
-            "resumes": 0,
-            "last_resume_event": None,
-            "kills_fired": 0,
-            "crashes": 0,
-            "timeouts": 0,
-            "retries": 0,
-            "bad_checkpoints": 0,
-            "degraded": False,
-            "shadow_budget": shadow_budget,
-        }
+            kills = kills.detector_kill_events()
+        self.trace = trace
+        span = None
+        if batched:
+            span = DEFAULT_BATCH_SPAN if batch_span is None else batch_span
+        super().__init__(
+            detector,
+            checkpoint_dir=checkpoint_dir,
+            checkpoint_every=checkpoint_every,
+            keep_checkpoints=keep_checkpoints,
+            suppress=suppress,
+            shadow_budget=shadow_budget,
+            kills=kills,
+            # sha256 of the trace's canonical binary form (Trace.binlog):
+            # manifests commit to the exact bytes the codec round-trips.
+            digest=trace.digest(),
+            trace_name=trace.name,
+            batched=batched,
+            batch_span=span,
+        )
 
-    # ------------------------------------------------------------------
-    # detector construction
-    # ------------------------------------------------------------------
-    def _make_inner(self):
-        if callable(self.detector):
-            return self.detector()
-        from repro.detectors.registry import create_detector
-
-        return create_detector(self.detector, suppress=self.suppress)
-
-    def _make_detector(self):
-        return wrap_detector(self._make_inner(), self.shadow_budget)
-
-    def _detector_label(self) -> str:
-        """The *inner* detector name — stable across degradation, so a
-        checkpoint written unguarded resumes into a guarded session."""
-        det = self._make_inner()
-        return det.name
-
-    # ------------------------------------------------------------------
-    # checkpoint files
-    # ------------------------------------------------------------------
-    def checkpoints(self) -> List[str]:
-        """Existing non-discarded checkpoint paths, oldest first."""
-        return self._store.paths()
-
-    def latest_checkpoint(self) -> Optional[str]:
-        """Newest non-discarded checkpoint path, or None."""
-        found = self.checkpoints()
-        return found[-1] if found else None
-
-    def discard_checkpoint(self, path: str) -> None:
-        """Drop a checkpoint that failed to load; it is never offered
-        again, even if deleting the file failed."""
-        self._store.discard(path)
-
-    def resolve_resume(self, resume: Optional[str]) -> Optional[str]:
-        """``None`` → fresh start, :data:`LATEST` → newest checkpoint
-        (or fresh when none exist), anything else → that path."""
-        if resume is None:
-            return None
-        if resume == LATEST:
-            return self.latest_checkpoint()
-        return resume
-
-    # ------------------------------------------------------------------
-    # degradation
-    # ------------------------------------------------------------------
-    def degrade(self, shadow_budget: int) -> None:
-        """Switch subsequent attempts to a budget-guarded detector.
-
-        Called by the supervisor when retries are exhausted: instead of
-        aborting, the session continues with the
-        :class:`GuardedDetector` shedding ladder bounding shadow state.
-        """
-        self.shadow_budget = shadow_budget
-        self.recovery["degraded"] = True
-        self.recovery["shadow_budget"] = shadow_budget
-
-    # ------------------------------------------------------------------
-    # the replay loop
-    # ------------------------------------------------------------------
     def _feed(self) -> List[tuple]:
         if self.batched:
-            return self.trace.coalesced(self.batch_span)
+            return self.trace.coalesced(self._span)
         return self.trace.events
 
     def _events_before(self, feed: List[tuple]) -> Sequence[int]:
@@ -225,86 +381,53 @@ class DetectionSession:
             return range(len(feed) + 1)
         return list(accumulate(map(event_weight, feed), initial=0))
 
-    @property
-    def _effective_span(self) -> Optional[int]:
-        if not self.batched:
-            return None
-        return DEFAULT_BATCH_SPAN if self.batch_span is None else self.batch_span
-
-    def _kill_due(self, events_done: int) -> None:
-        """Fire the next planned kill once ``events_done`` reaches it."""
-        kills = self._kills
-        if self._next_kill < len(kills) and events_done >= kills[self._next_kill]:
-            at = kills[self._next_kill]
-            self._next_kill += 1
-            self.recovery["kills_fired"] += 1
-            raise DetectorKilled(at)
+    def _kill_due(self) -> None:
+        """Fire the next planned kill once the committed events reach
+        it."""
+        at = self._pending_kill()
+        if at is not None and self.events_done >= at:
+            self._fire_kill()
 
     def run(self, resume: Optional[str] = None) -> ReplayResult:
-        """One attempt: optionally restore, replay to the end, finish.
+        """One attempt: start fresh (``resume=None``) or restore (a
+        checkpoint path, or :data:`LATEST` for the newest good
+        generation), replay to the end, finish.
 
         Raises :class:`DetectorKilled` when an injected kill fires,
-        :class:`CheckpointError` when the resume checkpoint is bad, and
-        whatever a genuinely crashing detector raises.  The supervisor
-        turns those into retries; calling this directly gives at-most-
-        one-attempt semantics (the CLI's plain ``--resume-from`` path).
+        :class:`CheckpointError` when an explicit resume path is bad,
+        and whatever a genuinely crashing detector raises.  The
+        supervisor turns those into retries; calling this directly gives
+        at-most-one-attempt semantics (the CLI's ``--resume-from``).
 
         The feed runs through the driver segment by segment; a segment
         ends at the first feed boundary at or past the next checkpoint
-        mark or kill point, and is a single item while ``abort_check``
-        is set, so the deadline is polled at every feed boundary.
+        mark or kill point.
         """
-        rec = self.recovery
         feed = self._feed()
-        det = self._make_detector()
-        cursor = 0
-        events_done = 0
-        path = self.resolve_resume(resume)
-        if path is not None:
-            manifest, state = read_checkpoint(path)
-            validate_manifest(
-                manifest,
-                path=path,
-                trace_digest=self._digest,
-                detector=self._label,
-                batched=self.batched,
-                batch_span=self._effective_span,
-            )
-            restore_detector(det, state)
-            cursor = manifest["feed_cursor"]
-            events_done = manifest["event_cursor"]
-            rec["resumes"] += 1
-            rec["last_resume_event"] = events_done
-        every = self.checkpoint_every
-        next_mark = (events_done // every + 1) * every
-        kills = self._kills
-        abort_check = self.abort_check
+        if resume is None:
+            self._install(self._make_detector(), 0, 0)
+        else:
+            self.resume(None if resume == LATEST else resume)
+        det = self.det
         table = handlers(det)
         n = len(feed)
         done = self._events_before(feed)
         t0 = time.perf_counter()
-        while cursor < n:
-            if abort_check is not None and abort_check():
-                raise WatchdogTimeout("attempt aborted by deadline")
-            self._kill_due(events_done)
-            if abort_check is not None:
-                stop = cursor + 1
-            else:
-                target = next_mark
-                if self._next_kill < len(kills):
-                    target = min(target, kills[self._next_kill])
-                stop = min(bisect_left(done, target, cursor + 1), n)
-            drive(feed, table, cursor, stop)
-            cursor = stop
-            events_done = done[stop]
-            if events_done >= next_mark:
-                self._write(det, cursor, events_done)
-                next_mark = (events_done // every + 1) * every
-        self._kill_due(events_done)
+        while self.feed_done < n:
+            self._kill_due()
+            target = self._next_mark
+            kill = self._pending_kill()
+            if kill is not None:
+                target = min(target, kill)
+            start = self.feed_done
+            stop = min(bisect_left(done, target, start + 1), n)
+            drive(feed, table, start, stop)
+            self._commit(stop - start, done[stop] - done[start])
+        self._kill_due()
         det.finish()
         wall = time.perf_counter() - t0
         stats = dict(det.statistics())
-        stats["recovery"] = dict(rec)
+        stats["recovery"] = dict(self.recovery)
         return ReplayResult(
             detector_name=det.name,
             trace_name=self.trace.name,
@@ -315,151 +438,41 @@ class DetectionSession:
             dispatched=n,
         )
 
-    def _write(self, det, feed_cursor: int, events_done: int) -> None:
-        write_checkpoint(
-            self._store.path_for(events_done),
-            det.snapshot_state(),
-            detector=self._label,
-            event_cursor=events_done,
-            feed_cursor=feed_cursor,
-            trace_digest=self._digest,
-            trace_name=self.trace.name,
-            batched=self.batched,
-            batch_span=self._effective_span,
-        )
-        self.recovery["checkpoints_written"] += 1
-        self._store.prune()
-
 
 class Supervisor:
-    """Watchdog + bounded-retry + degradation wrapper for a session.
+    """Drive a :class:`DetectionSession` to completion.
 
-    Each attempt resumes from the newest good checkpoint.  A
-    :class:`CheckpointError` discards the offending file and falls back
-    to the previous generation (ultimately a cold restart); kills,
-    crashes and watchdog timeouts retry with exponential backoff.
-    Injected kills do not consume retries — they are planned,
+    Each retry resumes from the newest good checkpoint (the session
+    falls back through older generations, ultimately to a cold
+    restart).  Injected kills do not consume retries — they are planned,
     deterministic and fire once each, so a plan with many kills cannot
-    starve recovery from real faults.  When ``max_retries`` genuine
-    failures accumulate and ``degrade_shadow_budget`` is set, the
-    session degrades into the guarded shedding ladder and the retry
-    budget resets once; after that, :class:`SupervisorError`.
+    starve recovery from real faults.  After :data:`MAX_RETRIES` genuine
+    failures, :class:`SupervisorError`.
     """
 
-    def __init__(
-        self,
-        session: DetectionSession,
-        *,
-        watchdog_timeout: Optional[float] = None,
-        max_retries: int = 5,
-        backoff_base: float = 0.05,
-        backoff_factor: float = 2.0,
-        backoff_max: float = 2.0,
-        degrade_shadow_budget: Optional[int] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
+    def __init__(self, session: DetectionSession):
         self.session = session
-        self.watchdog_timeout = watchdog_timeout
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
-        self.backoff_max = backoff_max
-        self.degrade_shadow_budget = degrade_shadow_budget
-        self._sleep = sleep
 
-    # ------------------------------------------------------------------
-    @contextmanager
-    def _watchdog(self):
-        """Arm the attempt timeout.
-
-        Primary mechanism: a shared monotonic :class:`Deadline`
-        (:mod:`repro.recovery.watchdog`) polled by the session at every
-        feed boundary — thread-safe, so supervisors work off the main
-        thread (fuzz workers, the detection server's executor).  On the
-        main thread SIGALRM is *additionally* armed as a hard backstop:
-        it interrupts a wedge that never reaches a poll point (a
-        detector stuck inside one callback), which the cooperative
-        deadline cannot.
-        """
-        seconds = self.watchdog_timeout
-        if not seconds:
-            yield
-            return
-        handle = shared_watchdog().arm(seconds)
-        prev_check = self.session.abort_check
-        self.session.abort_check = lambda: handle.expired
-        use_alarm = (
-            hasattr(signal, "SIGALRM")
-            and threading.current_thread() is threading.main_thread()
-        )
-
-        def _expire(_signum, _frame):
-            raise WatchdogTimeout(f"attempt exceeded {seconds}s")
-
-        old = None
-        if use_alarm:
-            old = signal.signal(signal.SIGALRM, _expire)
-            signal.setitimer(signal.ITIMER_REAL, seconds)
-        try:
-            yield
-            if not handle.cancel():
-                # Expired between the last poll and the finish line: the
-                # attempt did complete, so the timeout is moot.
-                pass
-        except BaseException:
-            handle.cancel()
-            raise
-        finally:
-            self.session.abort_check = prev_check
-            if use_alarm:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-                signal.signal(signal.SIGALRM, old)
-
-    # ------------------------------------------------------------------
     def run(self, resume: Optional[str] = LATEST) -> ReplayResult:
         """Drive the session to completion, surviving interruptions."""
-        session = self.session
-        rec = session.recovery
+        rec = self.session.recovery
         failures = 0
-        degraded_here = False
-        last_exc: Optional[BaseException] = None
-        attempt_resume = resume
         while True:
-            path = session.resolve_resume(attempt_resume)
             try:
-                with self._watchdog():
-                    return session.run(resume=path)
-            except DetectorKilled as exc:
-                last_exc = exc  # planned: retry without burning budget
+                return self.session.run(resume=resume)
+            except DetectorKilled:
+                pass  # planned: retry without burning budget
             except CheckpointError as exc:
-                last_exc = exc
-                rec["bad_checkpoints"] += 1
-                failures += 1
-                if path is not None:
-                    session.discard_checkpoint(path)
-            except WatchdogTimeout as exc:
-                last_exc = exc
-                rec["timeouts"] += 1
+                last_exc = exc  # counted in bad_checkpoints by the session
                 failures += 1
             except Exception as exc:  # noqa: BLE001 - retry any crash
                 last_exc = exc
                 rec["crashes"] += 1
                 failures += 1
-            attempt_resume = LATEST
-            if failures > self.max_retries:
-                if self.degrade_shadow_budget is not None and not degraded_here:
-                    session.degrade(self.degrade_shadow_budget)
-                    degraded_here = True
-                    failures = 0
-                    continue
+            if failures > MAX_RETRIES:
                 raise SupervisorError(
-                    f"giving up after {self.max_retries} retries: {last_exc}"
+                    f"giving up after {MAX_RETRIES} retries: {last_exc}"
                 ) from last_exc
             if failures:
                 rec["retries"] += 1
-                delay = min(
-                    self.backoff_base * (self.backoff_factor ** (failures - 1)),
-                    self.backoff_max,
-                )
-                if delay > 0:
-                    self._sleep(delay)
+            resume = LATEST

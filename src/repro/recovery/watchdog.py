@@ -1,21 +1,14 @@
 """Shared thread-safe monotonic-deadline watchdog.
 
-The original supervisor watchdog was SIGALRM-only: it could interrupt a
-wedged attempt, but only on the main thread of the main interpreter —
-useless to the multi-tenant server, whose tenant sessions run off the
-event loop and off the main thread.  This module provides the portable
-primitive both now share: a single daemon monitor thread tracking any
-number of :class:`Deadline` handles against ``time.monotonic()``.
+A single daemon monitor thread tracks any number of :class:`Deadline`
+handles against ``time.monotonic()``.  Unlike SIGALRM it works off the
+main thread, where the multi-tenant server runs its tenant dispatches.
 
 A deadline is *cooperative*: expiry flips a flag (and optionally fires
 an ``on_expire`` callback from the monitor thread); the guarded code
-polls :meth:`Deadline.expired` at its own safe points — the detection
-session polls at feed boundaries, the server daemon turns the callback
-into an event-loop wakeup that abandons the wedged executor slice.  The
-supervisor therefore keeps SIGALRM as a *hard backstop* on the main
-thread (it can interrupt code that never reaches a poll point) and
-layers the monotonic deadline on top so the same timeout works from any
-thread.
+checks :meth:`Deadline.expired` at its own safe points.  The server
+daemon turns the callback into an event-loop wakeup that abandons the
+wedged executor slice.
 
 Monotonic time is deliberate: wall-clock steps (NTP, suspend/resume)
 must neither fire a watchdog early nor park it forever.

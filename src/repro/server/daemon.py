@@ -784,35 +784,8 @@ class RaceServer:
         except (TypeError, ValueError) as exc:
             raise P.ProtocolError(P.E_BAD_HELLO, str(exc)) from exc
         if resume:
-            self._adopt_checkpoints(session)
+            session.adopt()
         return session
-
-    @staticmethod
-    def _adopt_checkpoints(session: TenantSession) -> None:
-        """Cross-restart resume: restore the newest checkpoint a drained
-        predecessor left behind; the client restreams from the cursor
-        WELCOME reports."""
-        found = session.checkpoints()
-        while found:
-            path = found[-1]
-            try:
-                from repro.recovery.checkpoint import read_checkpoint
-
-                manifest, state = read_checkpoint(path)
-                cursor = int(manifest["event_cursor"])
-                session.events_done = cursor
-                session._tail_base = cursor
-                # Restore through resume()'s machinery for validation.
-                session._tail = []
-                session.resume()
-                session.races_sent = len(session.det.races)
-                session.recovery["resumes"] = 0  # adoption is not a kill
-                return
-            except Exception:  # noqa: BLE001 - fall back a generation
-                session.discard_checkpoint(path)
-                session.events_done = 0
-                session._tail_base = 0
-                found = session.checkpoints()
 
     def _welcome(self, conn: _Conn, st: _Tenant, kind: str) -> None:
         conn.send(
@@ -1397,20 +1370,27 @@ class ServerThread:
         self.call(self.server.shutdown)
 
     def stop(self, drain: bool = True) -> None:
+        """Drain (unless ``drain=False``) and stop; a no-op once the
+        loop thread has exited, so a second stop, or a stop after
+        :meth:`kill`, is safe."""
+        if not self._thread.is_alive():
+            return
         if drain and not self.server._draining:
             try:
                 self.drain()
             except Exception:  # noqa: BLE001 - stop must succeed
                 pass
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
+        self._halt()
 
     def kill(self) -> None:
         """Hard-kill: abort every connection and stop with no drain and
         no checkpointing beyond what already hit disk — the host crash
         the soak harness injects.  Clients see a reset, fail over or
         reconnect-resume, and their journal resend covers whatever the
-        lost incarnation had not committed."""
+        lost incarnation had not committed.  A no-op once the loop
+        thread has exited."""
+        if not self._thread.is_alive():
+            return
 
         async def _abort():
             srv = self.server
@@ -1429,6 +1409,9 @@ class ServerThread:
             self.call(_abort)
         except Exception:  # noqa: BLE001 - kill must succeed
             pass
+        self._halt()
+
+    def _halt(self) -> None:
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=10)
 

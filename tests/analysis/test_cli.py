@@ -235,3 +235,51 @@ def test_bench_command_is_gone(capsys):
         main(["bench", "--quick"])
     assert exc.value.code == 2
     assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+def _checkpointed_run(ckpts, *extra):
+    return main(
+        ["run", "-w", "ffmpeg", "-d", "dynamic", "--scale", "0.3",
+         "--checkpoint-dir", ckpts, *extra]
+    )
+
+
+def test_resume_latest_skips_a_corrupt_newest_checkpoint(tmp_path, capsys):
+    ckpts = str(tmp_path / "ckpts")
+    assert _checkpointed_run(ckpts, "--checkpoint-every", "1000") == 0
+    found = sorted(os.listdir(ckpts))
+    assert len(found) >= 2
+    with open(os.path.join(ckpts, found[-1]), "wb") as fh:
+        fh.write(b"garbage")
+    capsys.readouterr()
+    assert _checkpointed_run(ckpts, "--resume-from", "latest") == 0
+    previous = int(found[-2][len("ckpt-"):-len(".ckpt")])
+    assert f"resumed from event {previous}," in capsys.readouterr().out
+
+
+def test_resume_from_a_corrupt_path_fails_typed(tmp_path, capsys):
+    ckpts = str(tmp_path / "ckpts")
+    assert _checkpointed_run(ckpts, "--checkpoint-every", "1000") == 0
+    newest = os.path.join(ckpts, sorted(os.listdir(ckpts))[-1])
+    with open(newest, "wb") as fh:
+        fh.write(b"garbage")
+    capsys.readouterr()
+    assert _checkpointed_run(ckpts, "--resume-from", newest) == 1
+    out = capsys.readouterr().out
+    assert f"cannot resume: {newest}: not a checkpoint file (bad magic)" in out
+
+
+@pytest.mark.parametrize("host", ["0.0.0.0", "::", "example.org"])
+def test_serve_refuses_non_loopback_host_without_keys(
+    host, tmp_path, monkeypatch, capsys
+):
+    import repro.server.daemon as daemon
+
+    def never(*_a, **_k):
+        raise AssertionError("serve built a server for an unkeyed host")
+
+    monkeypatch.setattr(daemon, "RaceServer", never)
+    rc = main(["serve", "--host", host, "--port", "0",
+               "--checkpoint-root", str(tmp_path)])
+    assert rc == 2
+    assert "without --keys" in capsys.readouterr().err

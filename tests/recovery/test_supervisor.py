@@ -6,6 +6,7 @@ from repro.detectors.base import Detector
 from repro.detectors.registry import create_detector
 from repro.recovery.checkpoint import MAGIC, CheckpointError, read_checkpoint
 from repro.recovery.session import (
+    MAX_RETRIES,
     DetectionSession,
     DetectorKilled,
     Supervisor,
@@ -56,7 +57,7 @@ def test_corrupt_newest_falls_back_to_previous(trace, tmp_path):
     with pytest.raises(CheckpointError):
         read_checkpoint(newest)
 
-    got = Supervisor(session, sleep=lambda _s: None).run()
+    got = Supervisor(session).run()
     rec = got.stats["recovery"]
     assert rec["bad_checkpoints"] == 1
     assert rec["resumes"] == 1
@@ -77,7 +78,7 @@ def test_all_checkpoints_corrupt_means_cold_restart(trace, tmp_path):
     for path in session.checkpoints():
         with open(path, "wb") as fh:
             fh.write(MAGIC + b"not json\n" + b"junk")
-    got = Supervisor(session, max_retries=10, sleep=lambda _s: None).run()
+    got = Supervisor(session).run()
     rec = got.stats["recovery"]
     assert rec["bad_checkpoints"] >= 1
     assert _race_keys(got) == _race_keys(want)
@@ -100,30 +101,9 @@ def test_hopeless_detector_exhausts_retries(trace, tmp_path):
         checkpoint_dir=str(tmp_path / "ckpts"),
         checkpoint_every=700,
     )
-    sup = Supervisor(session, max_retries=2, sleep=lambda _s: None)
-    with pytest.raises(SupervisorError, match="giving up after 2 retries"):
-        sup.run()
-    assert session.recovery["crashes"] == 3  # initial try + 2 retries
-
-
-def test_backoff_schedule_is_bounded():
-    delays = []
-    trace = build_trace("ffmpeg", scale=0.1, seed=0)
-    session = DetectionSession(
-        trace,
-        _AlwaysCrashes,
-        checkpoint_dir="unused",
-        checkpoint_every=700,
-    )
-    sup = Supervisor(
-        session,
-        max_retries=4,
-        backoff_base=0.1,
-        backoff_factor=2.0,
-        backoff_max=0.3,
-        sleep=delays.append,
-    )
-    with pytest.raises(SupervisorError):
-        sup.run()
-    assert delays == [0.1, 0.2, 0.3, 0.3]
-    assert session.recovery["retries"] == 4
+    with pytest.raises(
+        SupervisorError, match=f"giving up after {MAX_RETRIES} retries"
+    ):
+        Supervisor(session).run()
+    # the first try + MAX_RETRIES retries
+    assert session.recovery["crashes"] == MAX_RETRIES + 1

@@ -1,20 +1,11 @@
-"""The shared monotonic-deadline watchdog, on and off the main thread."""
+"""The shared monotonic-deadline watchdog."""
 
 import threading
 import time
 
 import pytest
 
-from repro.recovery import (
-    DetectionSession,
-    MonotonicWatchdog,
-    Supervisor,
-    SupervisorError,
-    WatchdogTimeout,
-    shared_watchdog,
-)
-from repro.workloads.base import default_suppression
-from repro.workloads.registry import build_trace
+from repro.recovery import MonotonicWatchdog, shared_watchdog
 
 
 def _wait_until(predicate, timeout=5.0):
@@ -76,127 +67,3 @@ class TestMonotonicWatchdog:
         handle = wd.arm(5.0)
         assert 4.0 < handle.remaining() <= 5.0
         handle.cancel()
-
-
-class _SlowDetector:
-    """Takes ~40ms per access callback — guaranteed to trip a 0.1s
-    deadline on any trace with a handful of accesses."""
-
-    name = "slow"
-
-    def __init__(self):
-        self.races = []
-
-    def __getattr__(self, attr):
-        if attr.startswith("on_"):
-            def cb(*_a, **_k):
-                time.sleep(0.04)
-            return cb
-        raise AttributeError(attr)
-
-    def finish(self):
-        pass
-
-    def statistics(self):
-        return {}
-
-    def snapshot_state(self):
-        return {"races": [], "racy": []}
-
-    def restore_state(self, state):
-        pass
-
-
-@pytest.fixture(scope="module")
-def small_trace():
-    return build_trace("ffmpeg", scale=0.05, seed=1)
-
-
-def test_supervisor_timeout_off_main_thread(tmp_path, small_trace):
-    """The refactored watchdog times attempts out from a worker thread,
-    where the old SIGALRM-only implementation silently never fired."""
-    session = DetectionSession(
-        small_trace,
-        _SlowDetector,
-        checkpoint_dir=str(tmp_path / "ckpts"),
-        checkpoint_every=10**9,
-    )
-    sup = Supervisor(
-        session,
-        watchdog_timeout=0.1,
-        max_retries=1,
-        sleep=lambda _s: None,
-    )
-    outcome = {}
-
-    def run():
-        try:
-            sup.run()
-            outcome["result"] = "completed"
-        except SupervisorError as exc:
-            outcome["result"] = exc
-
-    worker = threading.Thread(target=run)
-    worker.start()
-    worker.join(timeout=30)
-    assert not worker.is_alive()
-    assert isinstance(outcome["result"], SupervisorError)
-    assert session.recovery["timeouts"] >= 1
-
-
-def test_supervisor_timeout_on_main_thread_still_works(tmp_path, small_trace):
-    session = DetectionSession(
-        small_trace,
-        _SlowDetector,
-        checkpoint_dir=str(tmp_path / "ckpts"),
-        checkpoint_every=10**9,
-    )
-    sup = Supervisor(
-        session,
-        watchdog_timeout=0.1,
-        max_retries=1,
-        sleep=lambda _s: None,
-    )
-    with pytest.raises(SupervisorError):
-        sup.run()
-    assert session.recovery["timeouts"] >= 1
-
-
-def test_no_timeout_leaves_abort_check_untouched(tmp_path, small_trace):
-    session = DetectionSession(
-        small_trace,
-        "fasttrack-byte",
-        checkpoint_dir=str(tmp_path / "ckpts"),
-        suppress=default_suppression,
-        checkpoint_every=10**9,
-    )
-    result = Supervisor(session, sleep=lambda _s: None).run()
-    assert session.abort_check is None
-    assert result.stats["recovery"]["timeouts"] == 0
-
-
-def test_generous_deadline_does_not_interrupt(tmp_path, small_trace):
-    session = DetectionSession(
-        small_trace,
-        "fasttrack-byte",
-        checkpoint_dir=str(tmp_path / "ckpts"),
-        suppress=default_suppression,
-        checkpoint_every=10**9,
-    )
-    result = Supervisor(
-        session, watchdog_timeout=60.0, sleep=lambda _s: None
-    ).run()
-    assert result.stats["recovery"]["timeouts"] == 0
-
-
-def test_session_abort_check_raises_watchdog_timeout(tmp_path, small_trace):
-    session = DetectionSession(
-        small_trace,
-        "fasttrack-byte",
-        checkpoint_dir=str(tmp_path / "ckpts"),
-        suppress=default_suppression,
-        checkpoint_every=10**9,
-    )
-    session.abort_check = lambda: True
-    with pytest.raises(WatchdogTimeout):
-        session.run()

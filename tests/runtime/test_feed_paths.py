@@ -16,7 +16,7 @@ import pytest
 
 from repro.detectors.guards import GuardedDetector
 from repro.detectors.registry import create_detector
-from repro.recovery.checkpoint import read_manifest
+from repro.recovery.checkpoint import read_checkpoint, read_manifest
 from repro.recovery.session import DetectionSession, DetectorKilled
 from repro.runtime.trace import Trace
 from repro.runtime.vm import replay
@@ -217,3 +217,49 @@ def test_session_checkpoints_at_first_boundary_past_each_mark(
     )
     assert written == expected
     assert session.recovery["checkpoints_written"] == len(expected)
+
+
+@pytest.mark.parametrize("name", sorted(DETECTORS))
+def test_trace_and_tenant_sessions_checkpoint_equal_states(
+    trace, name, tmp_path
+):
+    """The trace session and a tenant fed the same golden in chunks run
+    one recovery core: at every event cursor both checkpointed, the
+    checkpointed detector states are equal."""
+    every, chunk = 300, 120
+    keep = len(trace) // every + 2
+    session = DetectionSession(
+        trace,
+        _factory(name),
+        checkpoint_dir=str(tmp_path / "session"),
+        checkpoint_every=every,
+        keep_checkpoints=keep,
+    )
+    session.run()
+    tenant = TenantSession(
+        "identity",
+        name,
+        checkpoint_dir=str(tmp_path / "tenant"),
+        checkpoint_every=every,
+        keep_checkpoints=keep,
+        detector_factory=_factory(name),
+    )
+    events = [tuple(ev) for ev in trace.events]
+    for start in range(0, len(events), chunk):
+        rows = events[start : start + chunk]
+        tenant.dispatch_chunk(rows)
+        tenant.commit_chunk(rows)
+
+    def states(s):
+        found = {}
+        for path in s.checkpoints():
+            manifest, state = read_checkpoint(path)
+            found[manifest["event_cursor"]] = state
+        return found
+
+    by_session, by_tenant = states(session), states(tenant)
+    shared = sorted(set(by_session) & set(by_tenant))
+    # chunk edges meet the marks at every multiple of 600
+    assert shared == list(range(600, len(trace) + 1, 600))
+    for cursor in shared:
+        assert by_session[cursor] == by_tenant[cursor], cursor

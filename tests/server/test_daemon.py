@@ -11,6 +11,8 @@ Covers the acceptance criteria of the detection-as-a-service PR:
   those checkpoints.
 """
 
+import json
+import os
 import socket
 import struct
 import time
@@ -539,6 +541,59 @@ class TestDrain:
             result = det2.finish()
         assert _body(result) == P.dumps_canonical(local_baseline(events))
 
+    @pytest.mark.parametrize("damage", ["garbage", "foreign-manifest"])
+    def test_restart_adopts_previous_generation_past_a_bad_newest(
+        self, tmp_path, local_baseline, damage
+    ):
+        """A newest checkpoint that cannot be read, or that reads but
+        belongs to another detector, is skipped: the restarted daemon
+        adopts the previous generation and WELCOME carries its cursor."""
+        events = _events()
+        root = str(tmp_path / "ckpts")
+        half = len(events) // 2
+        with _server(tmp_path, checkpoint_root=root) as h:
+            det = Detector(
+                "fasttrack", address=h.address, tenant="durable",
+                batch_events=256, max_reconnects=0,
+            )
+            det.feed(events[:half])
+            det.sync()
+            h.drain()
+        tenant_dir = os.path.join(root, "durable")
+        found = sorted(os.listdir(tenant_dir))
+        assert len(found) >= 2
+        newest = os.path.join(tenant_dir, found[-1])
+        with open(newest, "rb") as fh:
+            blob = fh.read()
+        if damage == "garbage":
+            blob = b"garbage"
+        else:
+            head, manifest, payload = blob.split(b"\n", 2)
+            manifest = json.loads(manifest)
+            manifest["detector"] = "dynamic"
+            blob = b"\n".join(
+                [head, json.dumps(manifest).encode(), payload]
+            )
+        with open(newest, "wb") as fh:
+            fh.write(blob)
+        previous = int(found[-2][len("ckpt-"):-len(".ckpt")])
+        assert previous < half
+
+        with _server(tmp_path, checkpoint_root=root) as h2:
+            det2 = Detector(
+                "fasttrack",
+                address=h2.address,
+                tenant="durable",
+                batch_events=256,
+                options={"resume": True},
+            )
+            assert det2.welcome["session"] == "adopted"
+            assert det2.welcome["events_done"] == previous
+            det2.feed(events)
+            result = det2.finish()
+        assert result["recovery"]["bad_checkpoints"] == 1
+        assert _body(result) == P.dumps_canonical(local_baseline(events))
+
     def test_draining_server_refuses_new_sessions(self, tmp_path):
         with _server(tmp_path) as h:
             h.drain()
@@ -575,3 +630,18 @@ class TestFreshSessionHygiene:
             det2.feed(events)
             result = det2.finish()
         assert _body(result) == P.dumps_canonical(local_baseline(events))
+
+
+class TestServerThreadLifecycle:
+    @pytest.mark.parametrize(
+        "first,second",
+        [("stop", "stop"), ("kill", "stop"), ("stop", "kill"), ("kill", "kill")],
+    )
+    def test_stop_and_kill_are_no_ops_once_stopped(
+        self, tmp_path, first, second
+    ):
+        h = _server(tmp_path).start()
+        getattr(h, first)()
+        assert not h._thread.is_alive()
+        getattr(h, second)()  # must not raise "Event loop is closed"
+        assert not h._thread.is_alive()
