@@ -500,32 +500,99 @@ class DynamicGranularityDetector(VectorClockRuntime):
     # call" default would change what it detects.  These overrides are
     # exact by construction: either the whole run provably lands on a
     # same-epoch fast path (with no state change beyond bitmap bits and
-    # counters, applied wholesale), or it is a first touch of untouched
-    # territory with no neighbours in scan range (one ranged
-    # first-access builds the same Init group the per-access adopt
-    # chain would), or the run is replayed access by access at its
-    # original width.
+    # counters, applied wholesale), or it is a first touch of territory
+    # no own-side group holds yet, where every member access would take
+    # _first_access's adopt branch (see _first_touch), or the run is
+    # replayed access by access at its original width.
 
-    def _fresh_range(self, mgr, other, addr: int, end: int) -> bool:
-        """No group of ``mgr`` within neighbour-scan range of
-        ``[addr, end)`` and no group of ``other`` overlapping it —
-        per-access replay could only build one adopt-extended Init
-        group and every history check would come up empty.
+    def _first_touch(
+        self, mgr: GroupManager, bm: EpochBitmap, tid: int, addr: int,
+        end: int, width: int, site: int,
+    ) -> bool:
+        """Apply a run over territory no group of ``mgr`` holds in one
+        step, when per-access replay would only grow one Init group;
+        False (nothing changed) otherwise.
 
-        Probed with the entry-walking successor scan (an absent hash
-        entry skips 128 addresses per dict miss), so a failed probe on
-        densely grouped territory stays cheap.
+        Two shapes qualify, both with no bitmap bit set in the range and
+        a no-op history check against the other kind for every member:
+
+        * **fresh** — no group of ``mgr`` within neighbour-scan range:
+          the first access builds a one-access Init group with nothing
+          to merge, and every later access adopts into it;
+        * **continuation** — the byte at ``addr - 1`` belongs to an Init
+          group that passes the adopt test (this thread's epoch) and
+          ``[addr, end)`` holds no group of ``mgr``: every access adopts
+          into it.
+
+        The first access of a fresh run is applied at its own width and
+        the rest in one adopt, which charges no clock and calls no
+        ``bump()``; so groups, index, bitmap, counters, memory and the
+        sharing statistics all match per-access replay.  The other-kind
+        check: a write needs no read group in the range (its
+        read-history check could deflate a read clock); a read needs
+        every overlapping write ordered before it.
         """
-        # At least 1 byte of margin: the adopt fast path in
-        # _first_access looks at the directly adjacent byte even when
-        # the neighbour-scan limit is 0.
-        margin = max(self.config.neighbor_scan_limit, 1)
-        start = addr - margin - 1
-        if start < -1:
-            start = -1
-        if mgr.table.successor(start, end + margin - 1 - start) is not None:
+        cfg = self.config
+        size = end - addr
+        if not (cfg.init_state and cfg.share_at_init) or bm.any_set(addr, size):
             return False
-        return other.table.successor(addr - 1, end - addr) is None
+        vc = self._vc(tid)
+        c = vc.get(tid)
+        table = mgr.table
+        left = table.get(addr - 1) if addr else None
+        if left is None:
+            # nearest_left/nearest_right of the first access reach
+            # neighbor_scan_limit bytes beyond the range.
+            margin = cfg.neighbor_scan_limit
+            start = addr - margin - 1
+            if start < -1:
+                start = -1
+            if table.successor(start, end + margin - 1 - start) is not None:
+                return False
+        elif not (
+            is_init(left.state)
+            and (
+                (left.wc == c and left.wt == tid)
+                if mgr.kind == "w"
+                else left.r.same_epoch(c, tid)
+            )
+            and table.successor(addr - 1, size) is None
+        ):
+            return False
+        if mgr.kind == "w":
+            if self._rg.table.successor(addr - 1, size) is not None:
+                return False
+        elif not self._writes_ordered(vc, addr, end):
+            return False
+        lo = addr
+        if left is None:
+            left = self._first_access(mgr, lo, lo + width, c, tid, vc, site)
+            lo += width
+        g = mgr.adopt(left, lo, end)
+        g.state = INIT_SHARED
+        g.site = site
+        if mgr.kind == "r" and g.count == g.hi - g.lo:
+            # _mark_read_groups' whole-group mark after each adopt.
+            bm.set_range(g.lo, g.count)
+        else:
+            bm.set_range(addr, size)
+        self.total_accesses += size // width
+        return True
+
+    def _writes_ordered(self, vc, addr: int, end: int) -> bool:
+        """Every write group overlapping ``[addr, end)`` happened before
+        ``vc`` (a read there would pass its write-history check)."""
+        successor = self._wg.table.successor
+        a = addr - 1
+        while True:
+            hit = successor(a, end - 1 - a)
+            if hit is None:
+                return True
+            wg = hit[1]
+            if wg.wc > vc.get(wg.wt):
+                return False
+            # A hole-free group holds every byte of its range.
+            a = wg.hi - 1 if wg.count == wg.hi - wg.lo else hit[0]
 
     def on_read_batch(
         self, tid: int, addr: int, size: int, width: int, site: int = 0
@@ -561,18 +628,7 @@ class DynamicGranularityDetector(VectorClockRuntime):
                 self.total_accesses += n
                 self.same_epoch_hits += n
                 return
-        cfg = self.config
-        if (
-            cfg.init_state
-            and cfg.share_at_init
-            and not bm.any_set(addr, size)
-            and self._fresh_range(rm, self._wg, addr, end)
-        ):
-            vc = self._vc(tid)
-            g = self._first_access(rm, addr, end, vc.get(tid), tid, vc, site)
-            g.state = INIT_SHARED
-            bm.set_range(addr, size)
-            self.total_accesses += n
+        if self._first_touch(rm, bm, tid, addr, end, width, site):
             return
         # Per-access replay — but an epoch re-sweep of one covering
         # group only does real work on the first access (which stamps
@@ -625,18 +681,7 @@ class DynamicGranularityDetector(VectorClockRuntime):
                 self.total_accesses += n
                 self.same_epoch_hits += n
                 return
-        cfg = self.config
-        if (
-            cfg.init_state
-            and cfg.share_at_init
-            and not bm.any_set(addr, size)
-            and self._fresh_range(wm, self._rg, addr, end)
-        ):
-            vc = self._vc(tid)
-            g = self._first_access(wm, addr, end, vc.get(tid), tid, vc, site)
-            g.state = INIT_SHARED
-            bm.set_range(addr, size)
-            self.total_accesses += n
+        if self._first_touch(wm, bm, tid, addr, end, width, site):
             return
         self.on_write(tid, addr, width, site)
         a = addr + width

@@ -102,7 +102,8 @@ def coalesce_events(
     max_span: int = DEFAULT_BATCH_SPAN,
     max_streams: int = DEFAULT_MAX_STREAMS,
 ) -> List[tuple]:
-    """The batched dispatch feed for ``events``.
+    """The batched dispatch feed for ``events`` (plain 5-tuples, see
+    :mod:`repro.runtime.events`).
 
     Sync and heap events never merge, always flush every pending run,
     and keep their position, so their ordering against all accesses is
@@ -118,23 +119,35 @@ def coalesce_events(
     pend = None
 
     for ev in events:
-        op = ev[0]
+        op, tid, addr, size, site = ev
         if op == READ:
             if pend is not None:
                 append(_emit(pend))
                 pend = None
-            if runs and runs[0][1] != ev[1]:
-                for r in runs:
-                    append(_emit(r))
-                runs.clear()
-            lo = ev[2]
-            hi = ev[2] + ev[3]
+            if runs:
+                if runs[0][1] != tid:
+                    for r in runs:
+                        append(_emit(r))
+                    runs.clear()
+                elif len(runs) == 1:
+                    # A lone run has no sibling to close on: grow it
+                    # without the gap scan.
+                    r = runs[0]
+                    if (
+                        r[4] == site
+                        and r[5] == size
+                        and r[2] + r[3] == addr
+                        and r[3] + size <= max_span
+                    ):
+                        r[3] += size
+                        continue
+            hi = addr + size
             for r in runs:
                 if (
-                    r[4] == ev[4]
-                    and r[5] == ev[3]
-                    and r[2] + r[3] == ev[2]
-                    and r[3] + ev[3] <= max_span
+                    r[4] == site
+                    and r[5] == size
+                    and r[2] + r[3] == addr
+                    and r[3] + size <= max_span
                 ):
                     if all(
                         o is r
@@ -142,25 +155,25 @@ def coalesce_events(
                         or o[2] + o[3] + MIN_STREAM_GAP <= r[2]
                         for o in runs
                     ):
-                        r[3] += ev[3]
+                        r[3] += size
                         break
                     # Growing this run would close on a sibling run:
                     # flush the block, restart with this event alone.
                     for q in runs:
                         append(_emit(q))
                     runs.clear()
-                    runs.append([op, ev[1], lo, ev[3], ev[4], ev[3]])
+                    runs.append([op, tid, addr, size, site, size])
                     break
             else:
                 if len(runs) >= max_streams or not all(
                     hi + MIN_STREAM_GAP <= o[2]
-                    or o[2] + o[3] + MIN_STREAM_GAP <= lo
+                    or o[2] + o[3] + MIN_STREAM_GAP <= addr
                     for o in runs
                 ):
                     for r in runs:
                         append(_emit(r))
                     runs.clear()
-                runs.append([op, ev[1], lo, ev[3], ev[4], ev[3]])
+                runs.append([op, tid, addr, size, site, size])
             continue
         if runs:
             for r in runs:
@@ -169,16 +182,16 @@ def coalesce_events(
         if op == WRITE:
             if pend is not None:
                 if (
-                    pend[1] == ev[1]
-                    and pend[4] == ev[4]
-                    and pend[5] == ev[3]
-                    and pend[2] + pend[3] == ev[2]
-                    and pend[3] + ev[3] <= max_span
+                    pend[1] == tid
+                    and pend[4] == site
+                    and pend[5] == size
+                    and pend[2] + pend[3] == addr
+                    and pend[3] + size <= max_span
                 ):
-                    pend[3] += ev[3]
+                    pend[3] += size
                     continue
                 append(_emit(pend))
-            pend = [op, ev[1], ev[2], ev[3], ev[4], ev[3]]
+            pend = [op, tid, addr, size, site, size]
             continue
         if pend is not None:
             append(_emit(pend))

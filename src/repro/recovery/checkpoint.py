@@ -58,8 +58,9 @@ class CheckpointDir:
     files in ``path``, keyed by the event cursor they were taken at.
 
     Shared by the replay session and the service tenants.  Files that
-    failed to load are discarded and never offered again, even when
-    deleting them failed.
+    failed to load are discarded and not offered again, even when
+    deleting them failed, until a good checkpoint is written to the
+    same path (:meth:`written`).
     """
 
     def __init__(self, path: str, keep: int):
@@ -98,6 +99,12 @@ class CheckpointDir:
             os.unlink(path)
         except OSError:
             pass
+
+    def written(self, path: str) -> None:
+        """A good checkpoint now sits at ``path``: list it (and let
+        :meth:`prune` delete it) even if an earlier file there was
+        discarded."""
+        self._bad.discard(path)
 
     def prune(self) -> int:
         """Keep only the newest ``keep`` generations; returns the number

@@ -190,8 +190,9 @@ class CheckpointedSession:
         return self._store.paths()
 
     def discard_checkpoint(self, path: str) -> None:
-        """Drop a checkpoint that failed to load; it is never offered
-        again, even if deleting the file failed."""
+        """Drop a checkpoint that failed to load; it is not offered
+        again, even if deleting the file failed, until a checkpoint is
+        rewritten there."""
         self._store.discard(path)
 
     def _commit(self, items: int, events: int) -> None:
@@ -204,8 +205,9 @@ class CheckpointedSession:
     def checkpoint_now(self) -> None:
         """Write a checkpoint at the committed cursor, prune old
         generations and trim the replay window to the oldest one left."""
+        path = self._store.path_for(self.events_done)
         write_checkpoint(
-            self._store.path_for(self.events_done),
+            path,
             self.det.snapshot_state(),
             detector=self._label,
             event_cursor=self.events_done,
@@ -215,6 +217,7 @@ class CheckpointedSession:
             batched=self.batched,
             batch_span=self._span,
         )
+        self._store.written(path)
         self.recovery["checkpoints_written"] += 1
         self.recovery["checkpoints_gced"] += self._store.prune()
         self._set_next_mark()

@@ -250,6 +250,7 @@ class TenantSession(CheckpointedSession):
         with open(tmp, "wb") as fh:
             fh.write(ckpt_blob)
         os.replace(tmp, path)
+        self._store.written(path)
         self.feed_done = self.events_done = cursor
         self._tail_base = tail_base
         self._tail = [tuple(ev) for ev in tail_rows[: cursor - tail_base]]

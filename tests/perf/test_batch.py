@@ -1,5 +1,10 @@
 """Unit tests for the event coalescer behind batched dispatch."""
 
+import hashlib
+import os
+
+import pytest
+
 from repro.perf.batch import (
     DEFAULT_BATCH_SPAN,
     MIN_STREAM_GAP,
@@ -8,6 +13,9 @@ from repro.perf.batch import (
     coalesce_events,
 )
 from repro.runtime.events import ACQUIRE, FREE, READ, RELEASE, WRITE
+from repro.runtime.trace import Trace
+from repro.testing.golden import default_corpus_dir, load_manifest
+from repro.workloads.registry import build_trace
 
 
 def _writes(tid, addr, n, width=4, site=7):
@@ -62,6 +70,13 @@ def test_max_span_caps_a_run():
     out = coalesce_events(_writes(1, 0, n))
     assert out[0] == (WRITE, 1, 0, DEFAULT_BATCH_SPAN, 7, 4)
     assert out[1] == (WRITE, 1, DEFAULT_BATCH_SPAN, 12, 7, 4)
+
+
+def test_max_span_caps_a_read_run():
+    n = DEFAULT_BATCH_SPAN // 4 + 3
+    out = coalesce_events(_reads(1, 0, n))
+    assert out[0] == (READ, 1, 0, DEFAULT_BATCH_SPAN, 7, 4)
+    assert out[1] == (READ, 1, DEFAULT_BATCH_SPAN, 12, 7, 4)
 
 
 def test_sync_event_flushes_and_keeps_position():
@@ -206,3 +221,99 @@ def test_batch_stats_empty_feed():
     st = batch_stats([], [])
     assert st.ratio == 1.0
     assert st.coalesced == 0
+
+
+# ----------------------------------------------------------------------
+# the emitted feed is pinned item for item
+# ----------------------------------------------------------------------
+
+#: sha256 of the coalesced feed (see ``_feed_digest``) of every golden
+#: entry and of three larger traces (seed 1), recorded before the
+#: coalescer's single-run fast path and single unpack were introduced.
+#: A faster coalescer must not change a single feed item.
+GOLDEN_FEED_DIGESTS = {
+    "full-ffmpeg": (
+        "3be881d97dad245347ed9b6be9274f34"
+        "b0cc2e5369c194769b27e96ca2278613"
+    ),
+    "full-hmmsearch": (
+        "08c5422144f291ae91027f7f5dda6827"
+        "0329d4787d0428acdd17eb61501e8ea6"
+    ),
+    "full-pbzip2": (
+        "6e0d6e274805e9cfe16ca89125b7f318"
+        "7c75b01496cfe06c315e4bb1f104a43e"
+    ),
+    "shrunk-canneal": (
+        "8e2d5bc52bf26b88ba96e1c8bf432fbf"
+        "e67b0fd994ef874fca4ed6126fb52d5f"
+    ),
+    "shrunk-ferret": (
+        "93527119a01935ad6e1203cc88e520b7"
+        "4a4fbabf75677c0c3339e3df608753a3"
+    ),
+    "shrunk-ffmpeg": (
+        "2798bf2aef76f0739b89a9339cc7bd3f"
+        "09032a64cb21434aa9ef9785e8981bee"
+    ),
+    "shrunk-fluidanimate": (
+        "e7660693b365755cde966131b49704f3"
+        "207d655a6e1f6f3601559fbaabeedd49"
+    ),
+    "shrunk-hmmsearch": (
+        "f9330733c8dfaa13daf29006e03e830d"
+        "d967d3a8756087cf80708de19ffaaab3"
+    ),
+    "shrunk-raytrace": (
+        "14532df970c02e465c18c90393683cbb"
+        "2841d31cecf012cee20bbd618c7b1366"
+    ),
+    "shrunk-streamcluster": (
+        "459df5fc2b86e1cf4a4a597586134b41"
+        "1c13e13ffcd9f62f90479262793d4f25"
+    ),
+    "shrunk-x264": (
+        "801125e7d3dca0bb00f618115dbb7110"
+        "0a09d74d3388d6941ea15f7cfe618e8c"
+    ),
+}
+LARGE_FEED_DIGESTS = {
+    ("pbzip2", 1.5): (
+        "629d274f170f9ebce6f5d03e23dcf3a6"
+        "2ae57a8ede954fdf2e0566ec72dca7f1"
+    ),
+    ("canneal", 4.0): (
+        "aeac26bccadb4ad1736dcc291a2b383e"
+        "fdebe8e4d8d5e5404fa2e51c56e9dc87"
+    ),
+    ("streamcluster", 4.0): (
+        "ecaa5d9807f2c1ec1672f367dde9a957"
+        "6b85faff867ae9c2058761ed4a1a085d"
+    ),
+}
+
+
+def _feed_digest(feed) -> str:
+    h = hashlib.sha256()
+    for ev in feed:
+        h.update(repr(tuple(int(x) for x in ev)).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_golden_coalesced_feeds_match_recorded_digests():
+    names = sorted(load_manifest())
+    assert names == sorted(GOLDEN_FEED_DIGESTS)
+    for name in names:
+        trace = Trace.load(os.path.join(default_corpus_dir(), f"{name}.npz"))
+        assert _feed_digest(coalesce_events(trace.events)) == (
+            GOLDEN_FEED_DIGESTS[name]
+        ), name
+
+
+@pytest.mark.parametrize("workload,scale", sorted(LARGE_FEED_DIGESTS))
+def test_large_coalesced_feeds_match_recorded_digests(workload, scale):
+    trace = build_trace(workload, scale=scale, seed=1)
+    assert _feed_digest(coalesce_events(trace.events)) == (
+        LARGE_FEED_DIGESTS[(workload, scale)]
+    )

@@ -1,11 +1,19 @@
 """Supervisor behaviour around bad checkpoints and hopeless detectors."""
 
+import os
+
 import pytest
 
 from repro.detectors.base import Detector
 from repro.detectors.registry import create_detector
-from repro.recovery.checkpoint import MAGIC, CheckpointError, read_checkpoint
+from repro.recovery.checkpoint import (
+    MAGIC,
+    CheckpointDir,
+    CheckpointError,
+    read_checkpoint,
+)
 from repro.recovery.session import (
+    LATEST,
     MAX_RETRIES,
     DetectionSession,
     DetectorKilled,
@@ -64,8 +72,42 @@ def test_corrupt_newest_falls_back_to_previous(trace, tmp_path):
     # Resumed from the previous generation, not the corrupt one.
     assert rec["last_resume_event"] < 2200
     assert _race_keys(got) == _race_keys(want)
-    # The corrupt file was discarded, never to be offered again.
+    # The resumed replay rewrote the discarded generation: the new file
+    # reads back as a good checkpoint and is offered again.
+    manifest, _state = read_checkpoint(newest)
+    assert manifest["event_cursor"] == CheckpointDir.cursor_of(newest)
+    assert newest in session.checkpoints()
+
+
+def test_rewritten_generation_is_resumed_and_pruned(trace, tmp_path):
+    want = replay(
+        trace, create_detector("dynamic", suppress=default_suppression)
+    )
+    session = _session(
+        trace, tmp_path, kills=[2200, 2500], keep_checkpoints=2
+    )
+    with pytest.raises(DetectorKilled):
+        session.run()
+    newest = session.checkpoints()[-1]
+    assert CheckpointDir.cursor_of(newest) == 2100
+    with open(newest, "wb") as fh:
+        fh.write(MAGIC + b"not json\n")
+    # Falls back to 1400, rewrites 2100 on the way, dies at 2500.
+    with pytest.raises(DetectorKilled):
+        session.run(resume=LATEST)
+    assert session.recovery["last_resume_event"] == 1400
+    assert session.checkpoints() == [
+        session._store.path_for(1400), newest
+    ]
+    # The second kill resumes from the rewritten generation, not one
+    # further back, and the finished run equals an uninterrupted one.
+    got = session.run(resume=LATEST)
+    assert session.recovery["last_resume_event"] == 2100
+    assert session.recovery["bad_checkpoints"] == 1
+    assert _race_keys(got) == _race_keys(want)
+    # Once two newer generations exist, prune() deletes it.
     assert newest not in session.checkpoints()
+    assert not os.path.exists(newest)
 
 
 def test_all_checkpoints_corrupt_means_cold_restart(trace, tmp_path):

@@ -276,6 +276,27 @@ class TestExportImport:
         result = heir.finish()
         assert _result_body(result) == dumps_canonical(local_baseline(events))
 
+    def test_adopt_lands_on_a_previously_discarded_path(
+        self, tmp_path, events, local_baseline
+    ):
+        donor = _session(tmp_path, checkpoint_every=300)
+        half = len(events) // 2
+        _stream(donor, events[:half], chunk=100)
+        header, blob, tail = donor.export_state()
+        assert header["tail_base"] > 0  # no cold restart to fall back on
+        heir = TenantSession(
+            "t1", DETECTOR,
+            checkpoint_dir=str(tmp_path / "peer"), checkpoint_every=300,
+        )
+        # An earlier file at the imported cursor failed to load.
+        path = heir._store.path_for(half)
+        heir.discard_checkpoint(path)
+        heir.adopt_import(header, blob, tail)
+        assert heir.checkpoints() == [path]
+        _stream(heir, events[half:], chunk=100)
+        result = heir.finish()
+        assert _result_body(result) == dumps_canonical(local_baseline(events))
+
     def test_adopt_rejects_corrupt_blob(self, tmp_path, events):
         donor = _session(tmp_path, checkpoint_every=300)
         _stream(donor, events[:600], chunk=100)
