@@ -55,9 +55,18 @@ from repro.detectors.base import (
     WRITE_WRITE,
     RaceReport,
     VectorClockRuntime,
+    expand_run,
 )
 from repro.shadow.accounting import BITMAP, HASH, MemoryModel, SizeModel
 from repro.shadow.bitmap import EpochBitmap
+
+
+def _stamped(mgr: GroupManager, g: Group, clock: int, tid: int) -> bool:
+    """``g`` already carries ``tid``'s current epoch on ``mgr``'s side
+    (the write epoch, or the read clock's same-epoch test)."""
+    if mgr.kind == "w":
+        return g.wc == clock and g.wt == tid
+    return g.r.same_epoch(clock, tid)
 
 
 class DynamicGranularityDetector(VectorClockRuntime):
@@ -496,14 +505,14 @@ class DynamicGranularityDetector(VectorClockRuntime):
     # batched dispatch
     # ------------------------------------------------------------------
     # The granularity heuristic feeds on per-access sizes (group widths,
-    # second-epoch neighbour offsets), so the base class's "one ranged
-    # call" default would change what it detects.  These overrides are
-    # exact by construction: either the whole run provably lands on a
-    # same-epoch fast path (with no state change beyond bitmap bits and
-    # counters, applied wholesale), or it is a first touch of territory
-    # no own-side group holds yet, where every member access would take
-    # _first_access's adopt branch (see _first_touch), or the run is
-    # replayed access by access at its original width.
+    # second-epoch neighbour offsets), so a run must act as its member
+    # accesses.  _run takes a bulk exit only where that is exact by
+    # construction: either the whole run provably lands on a same-epoch
+    # fast path (with no state change beyond bitmap bits and counters,
+    # applied wholesale), or it is a first touch of territory no
+    # own-side group holds yet, where every member access would take
+    # _first_access's adopt branch (see _first_touch).  Otherwise the
+    # run is replayed access by access at its original width.
 
     def _first_touch(
         self, mgr: GroupManager, bm: EpochBitmap, tid: int, addr: int,
@@ -551,11 +560,7 @@ class DynamicGranularityDetector(VectorClockRuntime):
                 return False
         elif not (
             is_init(left.state)
-            and (
-                (left.wc == c and left.wt == tid)
-                if mgr.kind == "w"
-                else left.r.same_epoch(c, tid)
-            )
+            and _stamped(mgr, left, c, tid)
             and table.successor(addr - 1, size) is None
         ):
             return False
@@ -594,113 +599,65 @@ class DynamicGranularityDetector(VectorClockRuntime):
             # A hole-free group holds every byte of its range.
             a = wg.hi - 1 if wg.count == wg.hi - wg.lo else hit[0]
 
-    def on_read_batch(
-        self, tid: int, addr: int, size: int, width: int, site: int = 0
+    def _covered(self, mgr: GroupManager, tid: int, addr: int, end: int) -> bool:
+        """``[addr, end)`` lies in one hole-free group of ``mgr`` that
+        ``tid`` already stamped in its current epoch: every access
+        there hits the bitmap or the group fast path, and neither
+        mutates group state."""
+        g = mgr.table.get(addr)
+        return (
+            g is not None
+            and g.lo <= addr
+            and g.hi >= end
+            and g.count == g.hi - g.lo
+            and _stamped(mgr, g, self._vc(tid).get(tid), tid)
+        )
+
+    def _run(
+        self, mgr: GroupManager, seen, on_access, tid: int, addr: int,
+        size: int, width: int, site: int,
     ) -> None:
         if self.lazy_epochs:
             self._materialize_epoch(tid)
         n, rem = divmod(size, width) if width > 0 else (0, 1)
         if rem or n <= 1:
-            self.on_read(tid, addr, size, site)
+            on_access(tid, addr, size, site)
             return
-        bm = self._bitmap(self._read_seen, tid)
-        if bm.test(addr, size):
-            # Every member access would hit the bitmap fast path.
+        bm = self._bitmap(seen, tid)
+        end = addr + size
+        if bm.test(addr, size) or self._covered(mgr, tid, addr, end):
+            # Every member access would hit the bitmap or the group
+            # fast path; both only set bitmap bits.
+            bm.set_range(addr, size)
             self.total_accesses += n
             self.same_epoch_hits += n
             return
-        end = addr + size
-        rm = self._rg
-        g = rm.table.get(addr)
-        if (
-            g is not None
-            and g.lo <= addr
-            and g.hi >= end
-            and g.count == g.hi - g.lo
-        ):
-            vc = self._vc(tid)
-            if g.r.same_epoch(vc.get(tid), tid):
-                # Every member access would hit either the bitmap or
-                # the group fast path; both only set bitmap bits.  The
-                # fast paths never mutate group state, so the covering
-                # condition holds for the whole run.
-                bm.set_range(addr, size)
-                self.total_accesses += n
-                self.same_epoch_hits += n
-                return
-        if self._first_touch(rm, bm, tid, addr, end, width, site):
+        if self._first_touch(mgr, bm, tid, addr, end, width, site):
             return
-        # Per-access replay — but an epoch re-sweep of one covering
-        # group only does real work on the first access (which stamps
-        # the group); re-test the covering fast path after it and bulk
-        # the remainder, exactly as each remaining access would.
-        self.on_read(tid, addr, width, site)
+        # An epoch re-sweep of one covering group only does real work
+        # on the first access (which stamps the group); re-test the
+        # covering fast path after it and bulk the remainder, exactly
+        # as each remaining access would.
+        on_access(tid, addr, width, site)
         a = addr + width
-        g = rm.table.get(a)
-        if (
-            g is not None
-            and g.lo <= a
-            and g.hi >= end
-            and g.count == g.hi - g.lo
-            and g.r.same_epoch(self._vc(tid).get(tid), tid)
-        ):
+        if self._covered(mgr, tid, a, end):
             bm.set_range(a, end - a)
             self.total_accesses += n - 1
             self.same_epoch_hits += n - 1
             return
-        while a < end:
-            self.on_read(tid, a, width, site)
-            a += width
+        expand_run(on_access, tid, a, end - a, width, site)
+
+    def on_read_batch(
+        self, tid: int, addr: int, size: int, width: int, site: int = 0
+    ) -> None:
+        self._run(self._rg, self._read_seen, self.on_read,
+                  tid, addr, size, width, site)
 
     def on_write_batch(
         self, tid: int, addr: int, size: int, width: int, site: int = 0
     ) -> None:
-        if self.lazy_epochs:
-            self._materialize_epoch(tid)
-        n, rem = divmod(size, width) if width > 0 else (0, 1)
-        if rem or n <= 1:
-            self.on_write(tid, addr, size, site)
-            return
-        bm = self._bitmap(self._write_seen, tid)
-        if bm.test(addr, size):
-            self.total_accesses += n
-            self.same_epoch_hits += n
-            return
-        end = addr + size
-        wm = self._wg
-        g = wm.table.get(addr)
-        if (
-            g is not None
-            and g.lo <= addr
-            and g.hi >= end
-            and g.count == g.hi - g.lo
-        ):
-            vc = self._vc(tid)
-            if g.wc == vc.get(tid) and g.wt == tid:
-                bm.set_range(addr, size)
-                self.total_accesses += n
-                self.same_epoch_hits += n
-                return
-        if self._first_touch(wm, bm, tid, addr, end, width, site):
-            return
-        self.on_write(tid, addr, width, site)
-        a = addr + width
-        g = wm.table.get(a)
-        if (
-            g is not None
-            and g.lo <= a
-            and g.hi >= end
-            and g.count == g.hi - g.lo
-        ):
-            vc = self._vc(tid)
-            if g.wc == vc.get(tid) and g.wt == tid:
-                bm.set_range(a, end - a)
-                self.total_accesses += n - 1
-                self.same_epoch_hits += n - 1
-                return
-        while a < end:
-            self.on_write(tid, a, width, site)
-            a += width
+        self._run(self._wg, self._write_seen, self.on_write,
+                  tid, addr, size, width, site)
 
     # ------------------------------------------------------------------
     def check_access(

@@ -22,6 +22,21 @@ WRITE_READ = "write-read"
 READ_WRITE = "read-write"
 
 
+def expand_run(
+    on_access: Callable[[int, int, int, int], None],
+    tid: int, addr: int, size: int, width: int, site: int = 0,
+) -> None:
+    """Replay a coalesced run as its member accesses: ``on_access(tid,
+    a, width, site)`` for each ``width``-byte member in address order.
+    A range that is not whole members (``width`` does not divide
+    ``size``) is one access of ``size`` bytes."""
+    if width <= 0 or size % width:
+        on_access(tid, addr, size, site)
+        return
+    for a in range(addr, addr + size, width):
+        on_access(tid, a, width, site)
+
+
 @dataclass(frozen=True)
 class RaceReport:
     """One detected data race.
@@ -92,19 +107,18 @@ class Detector:
         """A coalesced run of ``size // width`` adjacent ``width``-byte
         reads, consecutive in trace order (one thread, one epoch).
 
-        The default treats the run as one ranged read — exactly
-        equivalent for detectors whose shadow state is per fixed-size
-        unit.  Detectors whose behaviour depends on the access *width*
-        (dynamic granularity) override this to preserve per-access
-        semantics.
+        The default replays the run as its member accesses
+        (:func:`expand_run`), so counters and reports equal unbatched
+        dispatch.  A detector overrides this only with a ranged shortcut
+        it can prove exact.
         """
-        self.on_read(tid, addr, size, site)
+        expand_run(self.on_read, tid, addr, size, width, site)
 
     def on_write_batch(
         self, tid: int, addr: int, size: int, width: int, site: int = 0
     ) -> None:
         """Write-side twin of :meth:`on_read_batch`."""
-        self.on_write(tid, addr, size, site)
+        expand_run(self.on_write, tid, addr, size, width, site)
 
     # -- check-only protocol (sampling tier, ALGORITHM.md §14) ----------
     #: True when the class implements :meth:`check_access` (read by the
@@ -254,11 +268,13 @@ class DetectorWrapper:
     Owns the wrapped ``inner``, the wrapper's ``name``, ``races`` and
     ``supports_check_access``, and routes every callback plus
     :meth:`finish` through the one hook :meth:`_call`, whose default
-    forwards to ``inner``.  Subclasses (the budget guard, the timing
-    wrapper, the samplers) override the hook, or individual callbacks
-    where their policy differs per callback.  Anything else passes
-    through ``__getattr__``, so a wrapper can stand in for its inner
-    detector in analysis code.
+    forwards to ``inner``.  A policy wrapper (``transparent = False``)
+    instead expands a coalesced run into its own ``on_read`` /
+    ``on_write``, one call per member.  Subclasses (the budget guard,
+    the samplers, the filters) override the hook, or individual
+    callbacks where their policy differs per callback.  Anything else
+    passes through ``__getattr__``, so a wrapper can stand in for its
+    inner detector in analysis code.
     """
 
     #: ``name`` is ``f"{label}({inner.name})"`` unless a subclass sets it
@@ -266,7 +282,8 @@ class DetectorWrapper:
 
     #: False for policy wrappers (samplers, filters): attribute lookups
     #: stop at the wrapper, so capability probes (the budget guard's
-    #: group managers, lazy epochs, shadow seeding) never bypass it.
+    #: group managers, lazy epochs, shadow seeding) never bypass it,
+    #: and a coalesced run reaches the policy as its member accesses.
     transparent = True
 
     def __init__(self, inner):
@@ -296,15 +313,23 @@ class DetectorWrapper:
     def on_write(self, tid: int, addr: int, size: int, site: int = 0) -> None:
         self._call("on_write", tid, addr, size, site)
 
+    # A transparent wrapper hands the run to the inner detector; a
+    # policy wrapper decides per access, so it sees the members.
     def on_read_batch(
         self, tid: int, addr: int, size: int, width: int, site: int = 0
     ) -> None:
-        self._call("on_read_batch", tid, addr, size, width, site)
+        if self.transparent:
+            self._call("on_read_batch", tid, addr, size, width, site)
+        else:
+            expand_run(self.on_read, tid, addr, size, width, site)
 
     def on_write_batch(
         self, tid: int, addr: int, size: int, width: int, site: int = 0
     ) -> None:
-        self._call("on_write_batch", tid, addr, size, width, site)
+        if self.transparent:
+            self._call("on_write_batch", tid, addr, size, width, site)
+        else:
+            expand_run(self.on_write, tid, addr, size, width, site)
 
     def check_access(
         self, tid: int, addr: int, size: int, site: int = 0,

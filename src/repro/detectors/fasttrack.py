@@ -22,6 +22,7 @@ from repro.detectors.base import (
     WRITE_WRITE,
     RaceReport,
     VectorClockRuntime,
+    expand_run,
 )
 from repro.shadow.accounting import (
     BITMAP,
@@ -224,57 +225,45 @@ class FastTrackDetector(VectorClockRuntime):
     # ------------------------------------------------------------------
     # batched dispatch
     # ------------------------------------------------------------------
-    # A coalesced run is classified against the same-epoch bitmap:
-    # fully covered runs cost one test (every member would have
-    # short-circuited), untouched runs cost one ranged call (the
-    # per-unit work is identical to per-access replay), and partially
-    # covered runs replay per access so covered members keep their
-    # cheap bitmap exit.  Counter adjustments keep Table 4 statistics
-    # identical to unbatched replay.
+    # A run of aligned members, each a whole number of units, is
+    # classified against the same-epoch bitmap: fully covered runs cost
+    # one test (every member would have short-circuited), untouched runs
+    # cost one ranged call (the per-unit work is identical to
+    # per-access replay), and partially covered runs replay per access
+    # so covered members keep their cheap bitmap exit.  Any other run
+    # (unaligned, or members sharing a unit) replays per access too.
+    # Counter adjustments keep Table 4 statistics identical to
+    # unbatched replay.
+
+    def _run(
+        self, seen: Dict[int, EpochBitmap], on_access, tid: int, addr: int,
+        size: int, width: int, site: int,
+    ) -> None:
+        g = self.granularity
+        n = size // width if width > 0 else 0
+        if n > 1 and size % width == 0 and width % g == 0 and addr % g == 0:
+            if self.lazy_epochs:
+                self._materialize_epoch(tid)
+            bm = self._bitmap(seen, tid)
+            if bm.test(addr, size):
+                self.total_accesses += n
+                self.same_epoch_hits += n
+                return
+            if not bm.any_set(addr, size):
+                on_access(tid, addr, size, site)
+                self.total_accesses += n - 1
+                return
+        expand_run(on_access, tid, addr, size, width, site)
 
     def on_read_batch(
         self, tid: int, addr: int, size: int, width: int, site: int = 0
     ) -> None:
-        if self.lazy_epochs:
-            self._materialize_epoch(tid)
-        g = self.granularity
-        n = size // width if width > 0 else 0
-        if n > 1 and size % width == 0 and width % g == 0 and addr % g == 0:
-            bm = self._bitmap(self._read_seen, tid)
-            if bm.test(addr, size):
-                self.total_accesses += n
-                self.same_epoch_hits += n
-                return
-            if not bm.any_set(addr, size):
-                self.on_read(tid, addr, size, site)
-                self.total_accesses += n - 1
-                return
-            for a in range(addr, addr + size, width):
-                self.on_read(tid, a, width, site)
-            return
-        self.on_read(tid, addr, size, site)
+        self._run(self._read_seen, self.on_read, tid, addr, size, width, site)
 
     def on_write_batch(
         self, tid: int, addr: int, size: int, width: int, site: int = 0
     ) -> None:
-        if self.lazy_epochs:
-            self._materialize_epoch(tid)
-        g = self.granularity
-        n = size // width if width > 0 else 0
-        if n > 1 and size % width == 0 and width % g == 0 and addr % g == 0:
-            bm = self._bitmap(self._write_seen, tid)
-            if bm.test(addr, size):
-                self.total_accesses += n
-                self.same_epoch_hits += n
-                return
-            if not bm.any_set(addr, size):
-                self.on_write(tid, addr, size, site)
-                self.total_accesses += n - 1
-                return
-            for a in range(addr, addr + size, width):
-                self.on_write(tid, a, width, site)
-            return
-        self.on_write(tid, addr, size, site)
+        self._run(self._write_seen, self.on_write, tid, addr, size, width, site)
 
     # ------------------------------------------------------------------
     def check_access(

@@ -55,13 +55,6 @@ class _FilterBase(DetectorWrapper):
     def on_write(self, tid, addr, size, site=0):
         self._route(tid, addr, size, site, is_write=True)
 
-    # A coalesced run goes through the filter as one ranged access.
-    def on_read_batch(self, tid, addr, size, width, site=0):
-        self._route(tid, addr, size, site, is_write=False)
-
-    def on_write_batch(self, tid, addr, size, width, site=0):
-        self._route(tid, addr, size, site, is_write=True)
-
     def statistics(self) -> Dict[str, object]:
         total = self.filtered_accesses + self.instrumented_accesses
         stats = dict(self.inner.statistics())

@@ -27,10 +27,10 @@ sampling × detector recall grid in :mod:`repro.perf.sampling`).
   run cannot add new interleavings), so shadow recording work is O(1)
   per location phase regardless of how hot the location is.
 
-All three wrappers expand coalesced batch dispatch back into
-per-access decisions, so sampling decisions — and therefore races and
-statistics — are identical between ``replay(batched=True)`` and
-unbatched replay of the same trace.
+As policy wrappers (``transparent = False``) all three see a coalesced
+run as its member accesses (``DetectorWrapper``), so sampling
+decisions — and therefore races and statistics — are identical between
+``replay(batched=True)`` and unbatched replay of the same trace.
 
 When the inner detector opts in (``supports_lazy_epochs``), the
 wrapper also enables lazy sampled-epoch timestamping: epoch increments
@@ -118,28 +118,6 @@ class _SamplingBase(DetectorWrapper):
             if self._check:
                 self.check_only_accesses += 1
                 self.inner.check_access(tid, addr, size, site, is_write=True)
-
-    # -- batched dispatch -----------------------------------------------
-    # A coalesced run is N accesses, not one: expand it so per-site
-    # execution counts, epoch accounting and ownership budgets see the
-    # same access sequence as unbatched dispatch.  (Forwarding the run
-    # as one ranged call would count it as ONE sample and let the
-    # sampled/skipped split diverge between dispatch modes.)
-    def on_read_batch(self, tid, addr, size, width, site=0):
-        n, rem = divmod(size, width) if width > 0 else (0, 1)
-        if rem or n <= 1:
-            self.on_read(tid, addr, size, site)
-            return
-        for i in range(n):
-            self.on_read(tid, addr + i * width, width, site)
-
-    def on_write_batch(self, tid, addr, size, width, site=0):
-        n, rem = divmod(size, width) if width > 0 else (0, 1)
-        if rem or n <= 1:
-            self.on_write(tid, addr, size, site)
-            return
-        for i in range(n):
-            self.on_write(tid, addr + i * width, width, site)
 
     def statistics(self) -> Dict[str, object]:
         total = self.sampled_accesses + self.skipped_accesses

@@ -19,9 +19,9 @@ in a run has the same size):
   site, each access starting exactly where the previous one ended.
   Nothing is ever reordered.
 * **reads** additionally tolerate interleaved streams: within a block
-  of consecutive reads by one thread, up to ``max_streams`` adjacent
-  runs grow side by side (the streamcluster shape — a scan alternating
-  point reads with center reads).  Merged runs are emitted in
+  of consecutive reads by one thread, up to ``DEFAULT_MAX_STREAMS``
+  adjacent runs grow side by side (the streamcluster shape — a scan
+  alternating point reads with center reads).  Merged runs are emitted in
   first-member order when the block ends.  This reorders reads *within
   the block only*, and only while every pair of pending runs stays at
   least ``MIN_STREAM_GAP`` bytes apart — an event that would bring two
@@ -35,12 +35,16 @@ in a run has the same size):
 A merged run is emitted as a 6-tuple ``(op, tid, addr, size, site,
 width)`` where ``size == n * width`` for ``n >= 2`` member accesses;
 events that did not merge stay plain 5-tuples.  The replay loop routes
-6-tuples through ``Detector.on_read_batch`` / ``on_write_batch``.
+6-tuples through ``Detector.on_read_batch`` / ``on_write_batch``, whose
+default replays the run as its ``n`` member accesses; only detectors
+with an exact ranged shortcut (FastTrack, dynamic granularity) override
+it.
 
-``tests/testing/test_batch_conformance.py`` pins byte-identical race
-reports between batched and unbatched replay on the golden corpus and
-the embedded workloads; perfbench's ``offline-*`` workloads time both
-dispatch modes.
+``tests/testing/test_batch_conformance.py`` pins identical race reports
+and full ``statistics()`` between batched and unbatched replay for
+every registry detector on the golden corpus and the embedded
+workloads; perfbench's ``offline-*`` workloads time both dispatch
+modes.
 """
 
 from __future__ import annotations
@@ -97,11 +101,7 @@ def _emit(run: list) -> tuple:
     return (run[0], run[1], run[2], run[3], run[4])
 
 
-def coalesce_events(
-    events: Sequence[tuple],
-    max_span: int = DEFAULT_BATCH_SPAN,
-    max_streams: int = DEFAULT_MAX_STREAMS,
-) -> List[tuple]:
+def coalesce_events(events: Sequence[tuple]) -> List[tuple]:
     """The batched dispatch feed for ``events`` (plain 5-tuples, see
     :mod:`repro.runtime.events`).
 
@@ -109,6 +109,8 @@ def coalesce_events(
     and keep their position, so their ordering against all accesses is
     preserved exactly.
     """
+    max_span = DEFAULT_BATCH_SPAN
+    max_streams = DEFAULT_MAX_STREAMS
     out: List[tuple] = []
     append = out.append
     # Pending read runs of the current same-thread read block, in

@@ -109,7 +109,6 @@ class CheckpointedSession:
         digest: str,
         trace_name: str,
         batched: bool = False,
-        batch_span: Optional[int] = None,
     ):
         if checkpoint_every < 1:
             raise ValueError(
@@ -128,7 +127,9 @@ class CheckpointedSession:
         self.suppress = suppress
         self.shadow_budget = shadow_budget
         self.batched = batched
-        self._span = batch_span
+        # Recorded in every manifest: a checkpoint is refused by a
+        # session whose feed was coalesced differently.
+        self._span = DEFAULT_BATCH_SPAN if batched else None
         self._digest = digest
         self._trace_name = trace_name
         #: sorted planned kill points (original-event indices)
@@ -343,7 +344,6 @@ class DetectionSession(CheckpointedSession):
         checkpoint_dir: str,
         checkpoint_every: int = 5000,
         batched: bool = False,
-        batch_span: Optional[int] = None,
         suppress: Optional[Callable[[int], bool]] = None,
         shadow_budget: Optional[int] = None,
         kills: Union[FaultPlan, List[int], None] = None,
@@ -352,9 +352,6 @@ class DetectionSession(CheckpointedSession):
         if isinstance(kills, FaultPlan):
             kills = kills.detector_kill_events()
         self.trace = trace
-        span = None
-        if batched:
-            span = DEFAULT_BATCH_SPAN if batch_span is None else batch_span
         super().__init__(
             detector,
             checkpoint_dir=checkpoint_dir,
@@ -368,12 +365,11 @@ class DetectionSession(CheckpointedSession):
             digest=trace.digest(),
             trace_name=trace.name,
             batched=batched,
-            batch_span=span,
         )
 
     def _feed(self) -> List[tuple]:
         if self.batched:
-            return self.trace.coalesced(self._span)
+            return self.trace.coalesced()
         return self.trace.events
 
     def _events_before(self, feed: List[tuple]) -> Sequence[int]:

@@ -36,10 +36,10 @@ class Trace:
         #: faults injected while this trace was scheduled (see
         #: :mod:`repro.runtime.faults`); empty for clean runs.
         self.faults = faults or []
-        # Batched dispatch feeds, keyed by max span (traces are
+        # The batched dispatch feed, built on first use (traces are
         # replayed many times — once per detector — so the one-pass
         # coalescing cost is paid once and amortized).
-        self._coalesced: Dict[int, List[tuple]] = {}
+        self._coalesced: Optional[List[tuple]] = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -53,17 +53,15 @@ class Trace:
         for ev in self.events:
             yield Event(*ev)
 
-    def coalesced(self, max_span: Optional[int] = None) -> List[tuple]:
+    def coalesced(self) -> List[tuple]:
         """The batched dispatch feed: consecutive same-thread, same-op,
         same-site, address-adjacent accesses merged into single ranged
-        events (see :mod:`repro.perf.batch`).  Cached per span."""
-        from repro.perf.batch import DEFAULT_BATCH_SPAN, coalesce_events
+        events (see :mod:`repro.perf.batch`).  Cached."""
+        if self._coalesced is None:
+            from repro.perf.batch import coalesce_events
 
-        span = DEFAULT_BATCH_SPAN if max_span is None else max_span
-        feed = self._coalesced.get(span)
-        if feed is None:
-            feed = self._coalesced[span] = coalesce_events(self.events, span)
-        return feed
+            self._coalesced = coalesce_events(self.events)
+        return self._coalesced
 
     # ------------------------------------------------------------------
     def op_counts(self) -> Dict[str, int]:

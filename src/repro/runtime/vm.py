@@ -139,23 +139,19 @@ def dispatch_event(detector, ev: tuple) -> None:
     drive((ev,), handlers(detector))
 
 
-def replay(
-    trace: Trace,
-    detector,
-    batched: bool = False,
-    batch_span: Optional[int] = None,
-) -> ReplayResult:
+def replay(trace: Trace, detector, batched: bool = False) -> ReplayResult:
     """Replay ``trace`` through ``detector`` and collect results.
 
     With ``batched=True`` the driver consumes the coalesced feed
     (:meth:`Trace.coalesced`): adjacent same-thread same-op accesses
-    arrive as single ranged callbacks.  Race reports are
-    byte-identical either way (pinned by the conformance suite); only
-    the dispatch cost changes.  The feed and the handler table are
-    built outside the timed region — the feed once per trace, shared
-    by every detector replaying it.
+    arrive as single ranged callbacks, which a detector without an
+    exact ranged shortcut replays as their member accesses.  Race
+    reports and full statistics are identical either way (pinned by
+    the conformance suite); only the dispatch cost changes.  The feed
+    and the handler table are built outside the timed region — the
+    feed once per trace, shared by every detector replaying it.
     """
-    events = trace.coalesced(batch_span) if batched else trace.events
+    events = trace.coalesced() if batched else trace.events
     table = handlers(detector)
     t0 = time.perf_counter()
     drive(events, table)
@@ -181,9 +177,7 @@ def _null_sink(*_args) -> None:
 NULL_HANDLERS = (_null_sink,) * len(CALLBACKS)
 
 
-def bare_replay(
-    trace: Trace, batched: bool = False, batch_span: Optional[int] = None
-) -> float:
+def bare_replay(trace: Trace, batched: bool = False) -> float:
     """Wall time of replaying ``trace`` with no detector attached.
 
     Runs the same driver as :func:`replay` over :data:`NULL_HANDLERS`,
@@ -191,7 +185,7 @@ def bare_replay(
     ``batched`` selects the coalesced feed, mirroring
     ``replay(batched=True)``.
     """
-    events = trace.coalesced(batch_span) if batched else trace.events
+    events = trace.coalesced() if batched else trace.events
     t0 = time.perf_counter()
     drive(events, NULL_HANDLERS)
     return time.perf_counter() - t0

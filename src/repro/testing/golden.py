@@ -4,11 +4,14 @@ The corpus under ``tests/golden/`` is the regression net for refactors
 of :mod:`repro.core.detector`, :mod:`repro.core.groups` and
 :mod:`repro.shadow`: small serialized traces, each with the racy
 address set every pinned detector must reproduce exactly, the integer
-counters of its unbatched ``statistics()`` (the counted work:
+counters of its ``statistics()`` (the counted work:
 ``checked_accesses``, ``vc_allocs``, ``groups_created``, ...), plus the
-differential oracle's verdict.  A change in counted work fails
-``verify`` the way a changed race set does, until ``regenerate``
-re-pins it.  Two entry flavours:
+differential oracle's verdict.  ``verify`` replays each pinned detector
+twice, per access and through the coalesced feed, and holds both runs
+to the same pins, so batched dispatch cannot change a race or a count.
+A change in counted work fails ``verify`` the way a changed race set
+does, until ``regenerate`` re-pins it (from the per-access run).  Two
+entry flavours:
 
 * **full** — a whole (small-scale) workload trace, pinning end-to-end
   behaviour including the oracle's allowed-divergence classification;
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from repro.runtime.trace import Trace
@@ -81,10 +85,15 @@ def default_corpus_dir() -> str:
     return os.path.join("tests", "golden")
 
 
-def _pinned_run(trace: Trace, detector: str) -> Tuple[List[int], Dict[str, int]]:
-    """Racy addresses and integer statistics counters of one unbatched
-    replay."""
-    result = replay(trace, create_detector(detector, suppress=default_suppression))
+def _pinned_run(
+    trace: Trace, detector: str, batched: bool = False
+) -> Tuple[List[int], Dict[str, int]]:
+    """Racy addresses and integer statistics counters of one replay."""
+    result = replay(
+        trace,
+        create_detector(detector, suppress=default_suppression),
+        batched=batched,
+    )
     counters = {k: v for k, v in result.stats.items() if type(v) is int}
     return sorted({r.addr for r in result.races}), counters
 
@@ -164,9 +173,9 @@ def verify(corpus_dir: Optional[str] = None) -> List[str]:
     """Replay every corpus trace against its pinned expectations.
 
     Returns a list of human-readable problems; empty means the corpus
-    is green (every detector reproduces its pinned racy address set and
-    counters, and the differential oracle still explains every
-    divergence).
+    is green (every detector, per access and batched, reproduces its
+    pinned racy address set and counters, and the differential oracle
+    still explains every divergence).
     """
     corpus_dir = corpus_dir or default_corpus_dir()
     problems: List[str] = []
@@ -185,13 +194,16 @@ def verify(corpus_dir: Optional[str] = None) -> List[str]:
                 f"{name}: {len(trace)} events on disk, "
                 f"manifest says {record['events']}"
             )
-        for detector, expected in sorted(record["races"].items()):
-            got, counters = _pinned_run(trace, detector)
+        for (detector, expected), batched in product(
+            sorted(record["races"].items()), (False, True)
+        ):
+            label = f"{detector} (batched)" if batched else detector
+            got, counters = _pinned_run(trace, detector, batched)
             if got != expected:
                 missing = sorted(set(expected) - set(got))
                 extra = sorted(set(got) - set(expected))
                 problems.append(
-                    f"{name}: {detector} racy addresses changed "
+                    f"{name}: {label} racy addresses changed "
                     f"(missing {[hex(a) for a in missing[:4]]}, "
                     f"extra {[hex(a) for a in extra[:4]]}; "
                     f"{len(got)} now vs {len(expected)} pinned)"
@@ -204,7 +216,7 @@ def verify(corpus_dir: Optional[str] = None) -> List[str]:
             ]
             if changed:
                 problems.append(
-                    f"{name}: {detector} counted work changed "
+                    f"{name}: {label} counted work changed "
                     f"({', '.join(changed)})"
                 )
         oracle = differential_check(trace)

@@ -220,7 +220,13 @@ def test_batch_overrides_keep_statistics_identical(granularity):
 
 def test_batch_misaligned_run_uses_base_behaviour():
     # width 2 on the word detector: units overlap between members, so
-    # the override must fall through to one ranged call.
-    det = _forked(FastTrackDetector(granularity=4))
-    det.on_write_batch(0, 0x102, 8, 2)
-    assert det.total_accesses == 1
+    # the override falls through to the base expansion, one on_write
+    # per member.
+    batched = _forked(FastTrackDetector(granularity=4))
+    batched.on_write_batch(0, 0x102, 8, 2, site=1)
+    plain = _forked(FastTrackDetector(granularity=4))
+    for a in range(0x102, 0x10A, 2):
+        plain.on_write(0, a, 2, site=1)
+    assert batched.total_accesses == 4
+    assert batched.statistics() == plain.statistics()
+    assert batched.snapshot_state() == plain.snapshot_state()

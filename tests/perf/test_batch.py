@@ -7,6 +7,7 @@ import pytest
 
 from repro.perf.batch import (
     DEFAULT_BATCH_SPAN,
+    DEFAULT_MAX_STREAMS,
     MIN_STREAM_GAP,
     BatchStats,
     batch_stats,
@@ -175,9 +176,9 @@ def test_growth_toward_a_sibling_run_flushes():
 
 
 def test_max_streams_flushes_the_block():
-    bases = [0x1000 * (i + 1) for i in range(6)]
+    bases = [0x1000 * (i + 1) for i in range(DEFAULT_MAX_STREAMS + 2)]
     evs = [(READ, 1, base, 4, 9) for base in bases]
-    out = coalesce_events(evs, max_streams=4)
+    out = coalesce_events(evs)
     assert [ev[2] for ev in out] == bases  # order preserved
     assert all(len(ev) == 5 for ev in out)
 

@@ -44,7 +44,7 @@ def _json_round_trip(state):
 def _cut_and_restore(trace, make_detector, cut, batched=False):
     """Replay to ``cut`` feed items, snapshot, restore into a fresh
     detector, finish the feed there; return the restored detector."""
-    feed = trace.coalesced(None) if batched else trace.events
+    feed = trace.coalesced() if batched else trace.events
     first = make_detector()
     for ev in feed[:cut]:
         dispatch_event(first, ev)
@@ -89,7 +89,7 @@ def test_granularity_family_deep_roundtrip(name, batched):
 
     want = _uninterrupted(trace, make, batched=batched)
     want_stats = want.statistics()
-    feed_len = len(trace.coalesced(None)) if batched else len(trace)
+    feed_len = len(trace.coalesced()) if batched else len(trace)
     for seed in SEEDS:
         cut = random.Random(100 + seed).randrange(1, feed_len)
         got = _cut_and_restore(trace, make, cut, batched=batched)

@@ -122,11 +122,9 @@ def test_batched_replay_dispatches_fewer_callbacks():
     assert [r.addr for r in batched.races] == [r.addr for r in plain.races]
 
 
-def test_coalesced_feed_is_cached_per_span():
+def test_coalesced_feed_is_cached():
     trace = Scheduler(seed=0).run(_sweep_program())
     assert trace.coalesced() is trace.coalesced()
-    assert trace.coalesced(8) is not trace.coalesced()
-    assert len(trace.coalesced(8)) > len(trace.coalesced())
 
 
 def test_bare_replay_consumes_batched_feed():

@@ -80,7 +80,8 @@ def test_verify_flags_tampered_manifest(tmp_path):
 
 
 def test_verify_flags_exactly_the_changed_counter(tmp_path):
-    """A bumped counter fails verify for that entry and detector only."""
+    """A bumped counter fails verify for that entry and detector only,
+    in both dispatch modes."""
     from repro.cli import main
 
     corpus = tmp_path / "golden"
@@ -96,10 +97,35 @@ def test_verify_flags_exactly_the_changed_counter(tmp_path):
     subset["shrunk-x264"]["counters"]["dynamic"]["checked_accesses"] += 1
     (corpus / MANIFEST).write_text(json.dumps(subset))
     assert verify(str(corpus)) == [
-        f"shrunk-x264: dynamic counted work changed "
+        f"shrunk-x264: {label} counted work changed "
         f"(checked_accesses {pinned + 1} -> {pinned})"
+        for label in ("dynamic", "dynamic (batched)")
     ]
     assert main(["golden", "verify", "--dir", str(corpus)]) == 1
+
+
+def test_verify_flags_batched_drift(tmp_path, monkeypatch):
+    """verify also replays batched: a ranged shortcut that counts a run
+    as one access fails it, in the batched mode only."""
+    from repro.core.detector import DynamicGranularityDetector
+
+    corpus = tmp_path / "golden"
+    corpus.mkdir()
+    name = "full-pbzip2"
+    with open(os.path.join(default_corpus_dir(), f"{name}.npz"), "rb") as fh:
+        (corpus / f"{name}.npz").write_bytes(fh.read())
+    (corpus / MANIFEST).write_text(json.dumps({name: load_manifest()[name]}))
+    assert verify(str(corpus)) == []
+    monkeypatch.setattr(
+        DynamicGranularityDetector,
+        "on_write_batch",
+        lambda self, tid, addr, size, width, site=0: self.on_write(
+            tid, addr, size, site
+        ),
+    )
+    problems = verify(str(corpus))
+    assert problems
+    assert all(p.startswith(f"{name}: dynamic (batched) ") for p in problems)
 
 
 def test_verify_flags_missing_trace_and_event_drift(tmp_path):
