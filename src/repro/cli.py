@@ -38,10 +38,13 @@ from repro.analysis.metrics import measure
 from repro.analysis.report import format_races, summarize_races
 from repro.analysis.tables import format_table
 from repro.analysis.quarantine import DEFAULT_QUARANTINE_DIR
+from repro.detectors.guards import GuardedDetector, UnenforceableBudgetError
 from repro.detectors.registry import (
+    ALIASES,
     SAMPLER_NAMES,
     available_detectors,
     create_detector,
+    is_detector,
 )
 from repro.runtime.faults import FAULT_KINDS
 from repro.runtime.trace import Trace
@@ -63,20 +66,13 @@ def _resolve(name: str):
     return get_workload(name)
 
 
-def _is_detector(name: str) -> bool:
-    "Registry names plus sampler compositions like 'pacer:djit-byte'."
-    *outers, inner = name.split(":")
-    return inner in available_detectors() and all(
-        o in SAMPLER_NAMES for o in outers
-    )
-
-
 def _detector_arg(name: str) -> str:
     "argparse type= validator accepting colon-composed sampler names."
-    if not _is_detector(name):
+    if not is_detector(name):
         raise argparse.ArgumentTypeError(
             f"unknown detector {name!r} (choose from "
-            f"{', '.join(available_detectors())}; samplers "
+            f"{', '.join(available_detectors())}; aliases "
+            f"{', '.join(ALIASES)}; samplers "
             f"{'/'.join(SAMPLER_NAMES)} compose as 'sampler:inner')"
         )
     return name
@@ -467,7 +463,21 @@ def _cmd_list() -> int:
     return 0
 
 
+def _budget_refused(args) -> bool:
+    "Report a ``--shadow-budget`` that the guard cannot enforce on ``-d``."
+    if args.shadow_budget is None:
+        return False
+    try:
+        GuardedDetector(create_detector(args.detector), args.shadow_budget)
+    except UnenforceableBudgetError as err:
+        print(f"cannot run: {err}")
+        return True
+    return False
+
+
 def _cmd_run(args) -> int:
+    if _budget_refused(args):
+        return 2
     workload = _resolve(args.workload)
     trace = workload.trace(scale=args.scale, seed=args.seed)
     print(
@@ -488,8 +498,6 @@ def _cmd_run(args) -> int:
     suppress = None if args.no_suppress else default_suppression
     det = create_detector(args.detector, suppress=suppress)
     if args.shadow_budget is not None:
-        from repro.detectors.guards import GuardedDetector
-
         det = GuardedDetector(det, shadow_budget=args.shadow_budget)
     result = replay(trace, det)
     if args.shadow_budget is not None:
@@ -578,6 +586,8 @@ def _cmd_fuzz(args) -> int:
     from repro.analysis.fuzz import format_fuzz_result, fuzz_schedules
     from repro.runtime.faults import DEFAULT_KINDS
 
+    if _budget_refused(args):
+        return 2
     workload = _resolve(args.workload)
 
     def factory():
@@ -653,7 +663,7 @@ def _cmd_compare(args) -> int:
 
     names = [n.strip() for n in args.detectors.split(",") if n.strip()]
     for name in names:
-        if not _is_detector(name):
+        if not is_detector(name):
             print(f"unknown detector {name!r}")
             return 2
     trace = _resolve(args.workload).trace(scale=args.scale, seed=args.seed)

@@ -8,43 +8,32 @@
   the RecPlay/Valgrind-DRD family (Table 6 stand-in).
 * :mod:`repro.detectors.inspector` — hybrid happens-before + lockset
   shadow-history detection (Intel Inspector XE stand-in).
-* :mod:`repro.detectors.multirace` — MultiRace-style LockSet-filtered
-  DJIT+ (paper §VI related work).
 * :mod:`repro.detectors.sampling` — LiteRace, PACER and O(1)-samples
   sampling wrappers around any registered detector (paper §VI related
   work; ALGORITHM.md §14).
-* :mod:`repro.detectors.filters` — Aikido-style page-sharing filtering
-  and demand-driven detection (paper §VI related work).
-* :mod:`repro.detectors.tsan` — ThreadSanitizer-v2-style shadow cells
-  (paper §VI related work).
-* :mod:`repro.detectors.deadlock` — lock-order (potential deadlock) and
-  POSIX lock-misuse checking, the DRD capabilities beyond races.
 
 The paper's dynamic-granularity detector lives in :mod:`repro.core`.
 """
 
 from repro.detectors.base import Detector, RaceReport, VectorClockRuntime
-from repro.detectors.deadlock import LockOrderDetector
 from repro.detectors.guards import (
     DetectorCrash,
     GuardedDetector,
     GuardStats,
+    UnenforceableBudgetError,
     guard_detector,
 )
 from repro.detectors.djit import DjitPlusDetector
 from repro.detectors.eraser import EraserDetector
 from repro.detectors.fasttrack import FastTrackDetector
 from repro.detectors.drd import SegmentDetector
-from repro.detectors.filters import AikidoFilter, DemandDrivenFilter
 from repro.detectors.inspector import HybridDetector
-from repro.detectors.multirace import MultiRaceDetector
 from repro.detectors.registry import available_detectors, create_detector
 from repro.detectors.sampling import (
     LiteRaceDetector,
     O1SamplesDetector,
     PacerDetector,
 )
-from repro.detectors.tsan import TsanDetector
 
 __all__ = [
     "Detector",
@@ -55,17 +44,13 @@ __all__ = [
     "EraserDetector",
     "SegmentDetector",
     "HybridDetector",
-    "MultiRaceDetector",
     "LiteRaceDetector",
     "PacerDetector",
     "O1SamplesDetector",
-    "AikidoFilter",
-    "DemandDrivenFilter",
-    "TsanDetector",
-    "LockOrderDetector",
     "DetectorCrash",
     "GuardedDetector",
     "GuardStats",
+    "UnenforceableBudgetError",
     "guard_detector",
     "create_detector",
     "available_detectors",

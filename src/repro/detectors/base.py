@@ -271,8 +271,8 @@ class DetectorWrapper:
     forwards to ``inner``.  A policy wrapper (``transparent = False``)
     instead expands a coalesced run into its own ``on_read`` /
     ``on_write``, one call per member.  Subclasses (the budget guard,
-    the samplers, the filters) override the hook, or individual
-    callbacks where their policy differs per callback.  Anything else
+    the samplers) override the hook, or individual callbacks where
+    their policy differs per callback.  Anything else
     passes through ``__getattr__``, so a wrapper can stand in for its
     inner detector in analysis code.
     """
@@ -280,10 +280,11 @@ class DetectorWrapper:
     #: ``name`` is ``f"{label}({inner.name})"`` unless a subclass sets it
     label = "wrapped"
 
-    #: False for policy wrappers (samplers, filters): attribute lookups
-    #: stop at the wrapper, so capability probes (the budget guard's
-    #: group managers, lazy epochs, shadow seeding) never bypass it,
-    #: and a coalesced run reaches the policy as its member accesses.
+    #: False for policy wrappers (the samplers): attribute lookups stop
+    #: at the wrapper, so capability probes (an outer sampler's lazy
+    #: epochs) never bypass it, a coalesced run reaches the policy as
+    #: its member accesses, and the budget guard, which cannot reach
+    #: the group managers behind it, refuses a budget over it.
     transparent = True
 
     def __init__(self, inner):

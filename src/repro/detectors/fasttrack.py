@@ -304,28 +304,6 @@ class FastTrackDetector(VectorClockRuntime):
                     )
 
     # ------------------------------------------------------------------
-    def seed_write(self, tid: int, clock: int, addr: int, size: int) -> None:
-        """Backfill a write epoch for ``[addr, addr+size)``.
-
-        Integration hook for instrumentation filters (Aikido-style)
-        that skip private-phase accesses and must attribute them to the
-        previous owner *at the clock they actually happened* when a
-        page transitions to shared.  Only never-written units are
-        seeded; real history is never overwritten.
-        """
-        g = self.granularity
-        base = addr - addr % g
-        last = addr + size - 1
-        table_get = self._table.get
-        for unit in range(base, last - last % g + g, g):
-            rec = table_get(unit)
-            if rec is None:
-                rec = self._new_shadow(unit)
-            if rec.wc == 0:
-                rec.wc = clock
-                rec.wt = tid
-
-    # ------------------------------------------------------------------
     def on_free(self, tid: int, addr: int, size: int) -> None:
         sz = self.memory.sizes
         freed_vc_bytes = 0

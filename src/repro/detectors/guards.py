@@ -16,7 +16,9 @@ place).  :class:`GuardedDetector` wraps any detector against both:
   already-reported race singletons, force-widens neighbouring groups
   into coarser ones, and finally evicts the coldest shadow state.  The
   detector never crashes on budget; it reports what was sacrificed via
-  ``statistics()["guard"]``.
+  ``statistics()["guard"]``.  A budget over a policy wrapper (a
+  sampler) is refused with :class:`UnenforceableBudgetError`: the
+  wrapper hides the group managers, so the guard could shed nothing.
 
 Degradation semantics (ALGORITHM.md §8): forced widening is the same
 mechanism as the paper's dynamic granularity pushed further — its
@@ -36,6 +38,11 @@ from typing import Dict, Optional
 
 from repro.core.state_machine import PRIVATE, RACE, SHARED
 from repro.detectors.base import DetectorWrapper
+
+
+class UnenforceableBudgetError(ValueError):
+    """A shadow budget over a detector whose shadow state the guard
+    cannot reach (a policy wrapper such as a sampler)."""
 
 
 @dataclass
@@ -124,7 +131,9 @@ class GuardedDetector(DetectorWrapper):
     With an ample budget and no crash the wrapper is observationally
     identical to ``inner`` (byte-identical races); the budget only does
     anything for detectors exposing dynamic-granularity group managers
-    (``fasttrack-dynamic``).
+    (``fasttrack-dynamic``).  Other bare detectors get crash isolation
+    only; a budget over a policy wrapper (``transparent = False``, the
+    samplers) raises :class:`UnenforceableBudgetError`.
     """
 
     label = "guarded"
@@ -139,6 +148,12 @@ class GuardedDetector(DetectorWrapper):
             raise ValueError(f"shadow_budget must be >= 1, got {shadow_budget}")
         if not 0.0 < low_watermark <= 1.0:
             raise ValueError(f"low_watermark must be in (0, 1], got {low_watermark}")
+        transparent = getattr(inner, "transparent", True)
+        if shadow_budget is not None and not transparent:
+            raise UnenforceableBudgetError(
+                f"shadow_budget cannot be enforced over {inner.name}: the "
+                "policy wrapper hides the shadow state the guard sheds"
+            )
         super().__init__(inner)
         self.shadow_budget = shadow_budget
         self._target = (

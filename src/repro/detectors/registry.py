@@ -1,4 +1,5 @@
-"""Name-based detector construction for the CLI, benchmarks and tests."""
+"""Name-based detector construction, and the one table of detector
+names the library, the CLI, the daemon and the load generator accept."""
 
 from __future__ import annotations
 
@@ -8,16 +9,12 @@ from repro.detectors.djit import DjitPlusDetector
 from repro.detectors.drd import SegmentDetector
 from repro.detectors.eraser import EraserDetector
 from repro.detectors.fasttrack import FastTrackDetector
-from repro.detectors.deadlock import LockOrderDetector
-from repro.detectors.filters import AikidoFilter, DemandDrivenFilter
 from repro.detectors.inspector import HybridDetector
-from repro.detectors.multirace import MultiRaceDetector
 from repro.detectors.sampling import (
     LiteRaceDetector,
     O1SamplesDetector,
     PacerDetector,
 )
-from repro.detectors.tsan import TsanDetector
 
 
 def _dynamic(**kwargs):
@@ -72,30 +69,54 @@ _FACTORIES: Dict[str, Callable] = {
     "fasttrack-byte": lambda **kw: FastTrackDetector(granularity=1, **kw),
     "fasttrack-word": lambda **kw: FastTrackDetector(granularity=4, **kw),
     "fasttrack-dynamic": _dynamic,
-    "dynamic": _dynamic,
     "eraser": lambda **kw: EraserDetector(**kw),
     "drd": lambda **kw: SegmentDetector(**kw),
     "inspector": lambda **kw: HybridDetector(**kw),
-    "multirace": lambda **kw: MultiRaceDetector(**kw),
     "literace": lambda **kw: LiteRaceDetector(**_rate_kw(kw, "floor_rate")),
     "pacer": lambda **kw: PacerDetector(**_rate_kw(kw, "rate")),
     "o1": lambda **kw: O1SamplesDetector(**_rate_kw(kw, "budget")),
-    "aikido": lambda **kw: AikidoFilter(**kw),
-    "demand-driven": lambda **kw: DemandDrivenFilter(**kw),
-    "tsan": lambda **kw: TsanDetector(**kw),
-    "lock-order": lambda **kw: LockOrderDetector(**kw),
 }
 
 
+#: Other accepted spellings of canonical names: ``dynamic`` is the
+#: paper's tool (the golden corpus key, the CLI default) and
+#: ``fasttrack`` the client library's default.
+ALIASES = {"dynamic": "fasttrack-dynamic", "fasttrack": "fasttrack-byte"}
+
+
 def available_detectors() -> List[str]:
-    """All registered detector names."""
+    """All canonical detector names (aliases excluded)."""
     return sorted(_FACTORIES)
+
+
+def canonical_name(name: str) -> str:
+    """The canonical registry name of ``name`` or of its alias.
+
+    Raises :class:`ValueError` for any other name, a ``sampler:inner``
+    composition included (:func:`is_detector` accepts those).
+    """
+    canonical = ALIASES.get(name, name)
+    if canonical not in _FACTORIES:
+        raise ValueError(
+            f"unknown detector {name!r}; available: {available_detectors()}"
+        )
+    return canonical
+
+
+def is_detector(name: str) -> bool:
+    """Whether :func:`create_detector` accepts ``name``: a registry name,
+    an alias, or a sampler composition like ``pacer:djit-byte``."""
+    *outers, inner = name.split(":")
+    return ALIASES.get(inner, inner) in _FACTORIES and all(
+        o in SAMPLER_NAMES for o in outers
+    )
 
 
 def create_detector(name: str, **kwargs):
     """Instantiate a detector by registry name.
 
-    Extra keyword arguments are forwarded to the constructor (e.g.
+    ``name`` may be an alias (:data:`ALIASES`).  Extra keyword
+    arguments are forwarded to the constructor (e.g.
     ``suppress=``, or the :class:`~repro.core.config.DynamicConfig`
     flags for the dynamic detector).
 
@@ -126,10 +147,4 @@ def create_detector(name: str, **kwargs):
         )
         det.name = name
         return det
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown detector {name!r}; available: {available_detectors()}"
-        ) from None
-    return factory(**kwargs)
+    return _FACTORIES[canonical_name(name)](**kwargs)

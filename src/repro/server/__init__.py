@@ -26,17 +26,11 @@ Layers (see docs/ALGORITHM.md §13):
     ``BENCH_server.json``.
 """
 
-from repro.server.daemon import (
-    DETECTOR_ALIASES,
-    RaceServer,
-    ServerConfig,
-    ServerThread,
-)
+from repro.server.daemon import RaceServer, ServerConfig, ServerThread
 from repro.server.protocol import ProtocolError, ServerError
 from repro.server.tenant import RecoveryExhausted, TenantSession
 
 __all__ = [
-    "DETECTOR_ALIASES",
     "ProtocolError",
     "RaceServer",
     "RecoveryExhausted",

@@ -71,17 +71,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
+from repro.detectors.registry import canonical_name
 from repro.recovery.session import DetectorKilled
 from repro.recovery.watchdog import shared_watchdog
 from repro.server import protocol as P
 from repro.server.tenant import TENANT_RE, RecoveryExhausted, TenantSession
 
 _FINISH = object()  # ingest-queue sentinel
-
-#: Client-friendly detector-name aliases (the dracepy-shaped surface
-#: says ``Detector('fasttrack')``; the registry names the variants).
-DETECTOR_ALIASES = {"fasttrack": "fasttrack-byte"}
-
 
 @dataclass
 class ServerConfig:
@@ -731,14 +727,12 @@ class RaceServer:
     def _build_session(self, tenant: str, options: dict) -> TenantSession:
         cfg = self.config
         detector = str(options.get("detector", cfg.detector))
-        detector = DETECTOR_ALIASES.get(detector, detector)
-        if self.detector_factory is None:
-            from repro.detectors.registry import available_detectors
-
-            if detector not in available_detectors():
-                raise P.ProtocolError(
-                    P.E_UNKNOWN_DETECTOR, f"unknown detector {detector!r}"
-                )
+        try:
+            detector = canonical_name(detector)
+        except ValueError:
+            raise P.ProtocolError(
+                P.E_UNKNOWN_DETECTOR, f"unknown detector {detector!r}"
+            ) from None
         suppress = None
         if options.get("suppress"):
             from repro.workloads.base import default_suppression

@@ -55,6 +55,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.detectors.registry import canonical_name, create_detector
 from repro.runtime.faults import (
     CORRUPT_FRAME,
     DRAIN_DAEMON,
@@ -65,11 +66,7 @@ from repro.runtime.faults import (
 )
 from repro.server import protocol as P
 from repro.server.client import Detector, migrate_tenant, server_stats
-from repro.server.daemon import (
-    DETECTOR_ALIASES,
-    ServerConfig,
-    ServerThread,
-)
+from repro.server.daemon import ServerConfig, ServerThread
 
 #: Fault assignment cycle across tenants.  Index 0 keeps one clean
 #: control tenant; ``kill`` injects a detector kill (migration path);
@@ -96,10 +93,9 @@ def _tenant_events(workload: str, scale: float, seed: int) -> List[tuple]:
 
 def _baseline(detector: str, events: List[tuple]) -> dict:
     """The uninterrupted twin: same detector, same events, in process."""
-    from repro.detectors.registry import create_detector
     from repro.runtime.vm import drive, handlers
 
-    det = create_detector(DETECTOR_ALIASES.get(detector, detector))
+    det = create_detector(detector)
     drive(events, handlers(det))
     det.finish()
     return {
@@ -437,7 +433,7 @@ def run_loadgen(
             "workload": workload,
             "scale": scale,
             "seed": seed,
-            "detector": DETECTOR_ALIASES.get(detector, detector),
+            "detector": canonical_name(detector),
             "batch_events": batch_events,
             "faults": bool(faults),
             "quick": bool(quick),
@@ -710,7 +706,7 @@ def run_soak(
             "workload": workload,
             "scale": scale,
             "seed": seed,
-            "detector": DETECTOR_ALIASES.get(detector, detector),
+            "detector": canonical_name(detector),
             "batch_events": batch_events,
             "faults": True,
             "quick": bool(quick),

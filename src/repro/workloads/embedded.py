@@ -217,7 +217,7 @@ _SCENARIOS: Dict[str, Workload] = {
         description="private formatting, locked ring append, racy seqno",
         build_fn=logger_daemon,
         seeded_race_sites=1,
-        notes="high private-page fraction: Aikido-style filtering shines",
+        notes="high private-page fraction: most accesses never share",
     ),
 }
 

@@ -67,6 +67,24 @@ def test_colon_sampler_names_accepted(capsys):
     assert "o1:dynamic" in capsys.readouterr().out
 
 
+def test_detector_aliases_accepted(capsys):
+    assert main(
+        ["run", "-w", "ffmpeg", "-d", "fasttrack", "--scale", "0.2"]
+    ) == 0
+    assert "fasttrack: slowdown" in capsys.readouterr().out
+
+
+def test_shadow_budget_over_a_sampler_refused(capsys):
+    for cmd in ("run", "fuzz"):
+        assert main(
+            [cmd, "-w", "ffmpeg", "-d", "pacer:dynamic", "--scale", "0.2",
+             "--shadow-budget", "32"]
+        ) == 2
+        out = capsys.readouterr().out
+        assert "cannot run: shadow_budget cannot be enforced" in out
+        assert "workload" not in out
+
+
 def test_colon_name_with_unknown_part_rejected():
     with pytest.raises(SystemExit):
         main(["run", "-w", "ffmpeg", "-d", "bogus:dynamic"])

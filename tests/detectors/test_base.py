@@ -139,20 +139,17 @@ def test_epoch_counter_advances():
 
 
 # ----------------------------------------------------------------------
-# DetectorWrapper: the delegation base of guard, samplers and filters
+# DetectorWrapper: the delegation base of the guard and the samplers
 # ----------------------------------------------------------------------
 
 def _wrappers():
     from repro.detectors.fasttrack import FastTrackDetector
-    from repro.detectors.filters import AikidoFilter, DemandDrivenFilter
     from repro.detectors.guards import GuardedDetector
     from repro.detectors.sampling import PacerDetector
 
     return [
         GuardedDetector(FastTrackDetector(granularity=1)),
         PacerDetector(rate=1.0, inner=FastTrackDetector(granularity=1)),
-        AikidoFilter(),
-        DemandDrivenFilter(cooldown=1),
     ]
 
 

@@ -3,8 +3,13 @@
 import pytest
 
 from repro.detectors.base import Detector, RaceReport
-from repro.detectors.guards import GuardedDetector, guard_detector
-from repro.detectors.registry import create_detector
+from repro.detectors.guards import (
+    GuardedDetector,
+    UnenforceableBudgetError,
+    guard_detector,
+)
+from repro.detectors.registry import SAMPLER_NAMES, create_detector
+from repro.recovery.checkpoint import wrap_detector
 from repro.runtime.program import Program, ops
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.vm import replay
@@ -127,6 +132,25 @@ def test_budget_ignored_for_non_group_detectors():
     det = GuardedDetector(create_detector("fasttrack-byte"), shadow_budget=4)
     replay(_racy_trace(), det)  # must not crash or degrade anything
     assert det.statistics()["guard"]["degradations"] == 0
+
+
+@pytest.mark.parametrize("sampler", SAMPLER_NAMES)
+def test_budget_over_a_sampler_is_refused(sampler):
+    """A sampler hides the group managers the guard sheds, so a budget
+    over it is refused, not silently ignored; without a budget the
+    guard still wraps it for crash isolation."""
+    assert issubclass(UnenforceableBudgetError, ValueError)
+    for name in (sampler, f"{sampler}:dynamic"):
+        for build in (
+            lambda: GuardedDetector(create_detector(name), shadow_budget=32),
+            lambda: guard_detector(name, shadow_budget=32),
+            lambda: wrap_detector(create_detector(name), 32),
+        ):
+            with pytest.raises(UnenforceableBudgetError, match="cannot"):
+                build()
+        det = create_detector(name)
+        assert wrap_detector(det, None) is det
+        assert GuardedDetector(det).shadow_budget is None
 
 
 def test_guard_detector_factory():

@@ -14,6 +14,7 @@ import pytest
 from repro.core.detector import DynamicGranularityDetector
 from repro.detectors import available_detectors, create_detector
 from repro.detectors.fasttrack import FastTrackDetector
+from repro.detectors.registry import ALIASES, canonical_name
 from repro.runtime.trace import Trace
 from repro.runtime.vm import dispatch_event, replay
 from repro.testing.golden import default_corpus_dir, load_manifest
@@ -27,9 +28,24 @@ def test_every_registered_name_constructs():
         assert hasattr(det, "races")
 
 
+def test_every_listed_name_builds_a_detector_of_that_name():
+    for name in available_detectors():
+        assert create_detector(name).name == name
+
+
+def test_listing_is_the_canonical_names():
+    assert available_detectors() == [
+        "djit-byte", "djit-word", "drd", "eraser", "fasttrack-byte",
+        "fasttrack-dynamic", "fasttrack-word", "inspector", "literace",
+        "o1", "pacer",
+    ]
+
+
 def test_unknown_name_raises_with_choices():
     with pytest.raises(ValueError, match="fasttrack-byte"):
         create_detector("nope")
+    with pytest.raises(ValueError, match="fasttrack-byte"):
+        canonical_name("pacer:dynamic")
 
 
 def test_granularities_wired_correctly():
@@ -43,6 +59,13 @@ def test_dynamic_aliases():
     assert isinstance(
         create_detector("fasttrack-dynamic"), DynamicGranularityDetector
     )
+    fasttrack = create_detector("fasttrack")
+    assert isinstance(fasttrack, FastTrackDetector)
+    assert fasttrack.name == "fasttrack-byte"
+    for alias, canonical in ALIASES.items():
+        assert canonical_name(alias) == canonical
+        assert create_detector(alias).name == canonical
+        assert alias not in available_detectors()
 
 
 def test_dynamic_flags_forwarded():

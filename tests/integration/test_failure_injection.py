@@ -101,10 +101,8 @@ def test_detectors_tolerate_unseen_thread_ids(name):
     )
     # The two unseen threads are concurrent: a race must be reported by
     # the happens-before detectors.  Eraser only warns on its
-    # SharedModified discipline, demand-driven detection activates *at*
-    # the second access (its documented first-race blind spot), and the
-    # lock-order checker looks at locks, not data.
-    if name not in ("eraser", "demand-driven", "lock-order"):
+    # SharedModified discipline.
+    if name != "eraser":
         assert result.race_count > 0
 
 

@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.detectors.guards import GuardedDetector
+from repro.detectors.guards import GuardedDetector, UnenforceableBudgetError
 from repro.detectors.registry import create_detector
 from repro.recovery.checkpoint import read_checkpoint, read_manifest
 from repro.recovery.session import DetectionSession, DetectorKilled
@@ -116,8 +116,11 @@ def test_unbatched_paths_match_replay(trace, name, tmp_path):
     assert body["races"] == want_races
     assert body["stats"] == want_stats
 
+    # A budget over a sampler is refused (see the test below), so a
+    # sampler is guarded for crash isolation only.
+    budget = None if ":" in name else 1 << 30
     guarded = replay(
-        trace, GuardedDetector(_factory(name)(), shadow_budget=1 << 30)
+        trace, GuardedDetector(_factory(name)(), shadow_budget=budget)
     )
     assert guarded.stats["guard"]["degradations"] == 0
     assert _races(guarded.races) == want_races
@@ -139,43 +142,26 @@ def test_batched_paths_match_replay(trace, name, tmp_path):
     assert _stats(resumed.stats) == _stats(batched.stats)
 
 
-def test_budget_guard_around_a_sampler_across_kill_and_resume(
-    trace, tmp_path
-):
-    """A sampler is opaque to the budget guard: the guard cannot reach
-    the sampled dynamic detector's clock groups through it, so a budget
-    below the inner's peak leaves the sampler alone.  A session and a
-    tenant killed and resumed under that budget equal the uninterrupted
-    run, guard block included."""
+def test_sessions_refuse_a_budget_over_a_sampler(trace, tmp_path):
+    """A sampler hides the dynamic detector's clock groups from the
+    budget guard, so a trace session and a tenant given a budget over
+    it are refused at construction instead of silently shedding
+    nothing."""
     name = "literace:dynamic"
-    budget = 32
 
     def factory(*_name):
         return create_detector(name, rate=0.05)
 
-    sampler = factory()
-    free = replay(trace, sampler)
-    assert sampler.inner.group_stats.max_clocks > budget
-    want = replay(trace, GuardedDetector(factory(), shadow_budget=budget))
-    assert want.stats["guard"]["degradations"] == 0
-    want_races = _races(want.races)
-    assert want_races == _races(free.races)
-    assert _stats(want.stats) == _stats(free.stats)
-    want_stats = {k: v for k, v in want.stats.items() if k != "recovery"}
-
-    resumed = _killed_and_resumed(
-        trace, factory, tmp_path, batched=False, budget=budget
-    )
-    assert _races(resumed.races) == want_races
-    assert {k: v for k, v in resumed.stats.items() if k != "recovery"} == (
-        want_stats
-    )
-
-    body = _tenant_killed_and_resumed(
-        trace, name, factory, tmp_path, budget=budget
-    )
-    assert body["races"] == want_races
-    assert body["stats"] == want_stats
+    with pytest.raises(UnenforceableBudgetError):
+        DetectionSession(
+            trace, factory, checkpoint_dir=str(tmp_path / "session"),
+            shadow_budget=32,
+        )
+    with pytest.raises(UnenforceableBudgetError):
+        TenantSession(
+            "refused", name, checkpoint_dir=str(tmp_path / "tenant"),
+            shadow_budget=32, detector_factory=factory,
+        )
 
 
 def _weight(ev):

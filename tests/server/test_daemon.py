@@ -174,6 +174,26 @@ class TestTypedErrors:
             err = raw.expect_error()
         assert err["code"] == P.E_UNKNOWN_DETECTOR
 
+    def test_detector_aliases_resolve(self, tmp_path):
+        with _server(tmp_path) as h:
+            for i, (alias, canonical) in enumerate(
+                (("dynamic", "fasttrack-dynamic"),
+                 ("fasttrack", "fasttrack-byte"))
+            ):
+                raw = _Raw(h.address, tenant=f"a{i}", detector=alias)
+                welcome = P.loads_json(raw.expect(P.T_WELCOME))
+                raw.close()
+                assert welcome["detector"] == canonical
+
+    def test_budget_over_a_sampler_refused(self, tmp_path):
+        with _server(tmp_path) as h:
+            raw = _Raw(h.address, tenant="x", detector="pacer",
+                       shadow_budget=32)
+            err = raw.expect_error()
+            raw.close()
+        assert err["code"] == P.E_BAD_HELLO
+        assert "cannot be enforced" in err["message"]
+
     def test_tenant_busy(self, tmp_path):
         with _server(tmp_path) as h:
             first = _Raw(h.address, tenant="dup")

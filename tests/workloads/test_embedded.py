@@ -78,17 +78,6 @@ def test_logger_daemon_race_is_the_seqno():
     assert kinds <= {"write-write", "write-read", "read-write"}
 
 
-def test_logger_daemon_filters_well():
-    """The scratch buffers are page-private: the Aikido filter skips
-    most accesses and still reports the seqno race."""
-    from repro.detectors.filters import AikidoFilter
-
-    trace = get_scenario("logger-daemon").trace(scale=1.0, seed=1)
-    result = replay(trace, AikidoFilter())
-    assert result.races
-    assert result.stats["filter_rate"] > 0.0
-
-
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_scenarios_under_pct_schedules(name):
     """The seeded races survive PCT scheduling too (different
