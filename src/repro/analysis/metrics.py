@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.detectors.registry import create_detector
 from repro.runtime.trace import Trace
-from repro.runtime.vm import bare_replay, replay
+from repro.runtime.vm import ReplayResult, bare_replay, replay
 from repro.workloads.base import default_suppression
 from repro.workloads.registry import get_workload
 
@@ -114,6 +114,22 @@ def measure(
         if best is None or result.wall_time < best.wall_time:
             best = result
     assert best is not None
+    return measurement_of(trace, detector_name, best, base_time, base_memory)
+
+
+def measurement_of(
+    trace: Trace,
+    detector_name: str,
+    result: ReplayResult,
+    base_time: Optional[float] = None,
+    base_memory: Optional[int] = None,
+) -> Measurement:
+    """The row for ``result``, a finished :func:`replay` of ``trace``
+    (one bare replay times the base when ``base_time`` is not given)."""
+    if base_time is None:
+        base_time = bare_replay(trace)
+    if base_memory is None:
+        base_memory = base_memory_of(trace)
     return Measurement(
         workload=trace.name,
         detector=detector_name,
@@ -121,12 +137,12 @@ def measure(
         threads=trace.n_threads,
         shared_accesses=trace.shared_accesses,
         base_time=base_time,
-        wall_time=best.wall_time,
+        wall_time=result.wall_time,
         base_memory=base_memory,
-        detector_memory=detector_memory_of(best),
-        races=best.race_count,
-        race_addrs=frozenset(r.addr for r in best.races),
-        stats=best.stats,
+        detector_memory=detector_memory_of(result),
+        races=result.race_count,
+        race_addrs=frozenset(r.addr for r in result.races),
+        stats=result.stats,
     )
 
 

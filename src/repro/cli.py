@@ -34,7 +34,7 @@ import sys
 from typing import List, Optional
 
 from repro.analysis import tables as tables_mod
-from repro.analysis.metrics import measure
+from repro.analysis.metrics import measurement_of
 from repro.analysis.report import format_races, summarize_races
 from repro.analysis.tables import format_table
 from repro.analysis.quarantine import DEFAULT_QUARANTINE_DIR
@@ -486,20 +486,17 @@ def _cmd_run(args) -> int:
     )
     if args.checkpoint_every is not None or args.resume_from is not None:
         return _run_session(args, workload, trace)
-    m = measure(
-        trace,
-        args.detector,
-        suppress_libraries=not args.no_suppress,
-    )
-    print(
-        f"{args.detector}: slowdown {m.slowdown:.2f}x, "
-        f"memory overhead {m.memory_overhead:.2f}x"
-    )
     suppress = None if args.no_suppress else default_suppression
     det = create_detector(args.detector, suppress=suppress)
     if args.shadow_budget is not None:
         det = GuardedDetector(det, shadow_budget=args.shadow_budget)
+    # One replay gives the races and the timing and memory line alike.
     result = replay(trace, det)
+    m = measurement_of(trace, args.detector, result)
+    print(
+        f"{args.detector}: slowdown {m.slowdown:.2f}x, "
+        f"memory overhead {m.memory_overhead:.2f}x"
+    )
     if args.shadow_budget is not None:
         guard = det.statistics()["guard"]
         print(

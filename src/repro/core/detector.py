@@ -224,21 +224,39 @@ class DynamicGranularityDetector(VectorClockRuntime):
                 mgr.recharge_clock(g)
 
     def _mark_read_groups(
-        self, tid: int, touched: List[Group], lo: int, hi: int
+        self, bm: EpochBitmap, touched: List[Group], lo: int, hi: int
     ) -> None:
         """Mark hole-free read groups' full extent in the thread's read
-        bitmap (once one member was recorded this epoch, reads of its
-        group-mates are same-epoch accesses)."""
-        bm = None
+        bitmap ``bm`` (once one member was recorded this epoch, reads of
+        its group-mates are same-epoch accesses)."""
         for g in touched:
             if (
                 g.charged
                 and g.count == g.hi - g.lo
                 and (g.lo < lo or g.hi > hi)
             ):
-                if bm is None:
-                    bm = self._bitmap(self._read_seen, tid)
                 bm.set_range(g.lo, g.count)
+
+    def _record_read(
+        self, rm: GroupManager, seg: Group, lo: int, hi: int, acc_size: int,
+        c: int, tid: int, vc, site: int, touched: List[Group],
+    ) -> None:
+        """Record a read of ``[lo, hi)`` in read group ``seg``, which
+        ``tid`` has not stamped this epoch: the second-epoch decision or
+        resharing first, then the stamp.  Appends every group whose
+        bitmap mark the read may need to ``touched``."""
+        self.checked_accesses += 1
+        cfg = self.config
+        if cfg.init_state and is_init(seg.state):
+            parent = seg
+            seg = self._second_epoch(rm, seg, lo, hi, acc_size, c, tid, vc)
+            if parent is not seg and parent.charged:
+                touched.append(parent)
+        elif cfg.resharing_interval and seg.state == PRIVATE:
+            seg = self._maybe_reshare(rm, seg, acc_size, c, tid, vc)
+        self._stamp(rm, seg, c, tid, vc)
+        seg.site = site
+        touched.append(seg)
 
     def _may_share_reads(self, mgr: GroupManager, sg: Group) -> bool:
         """§VII future work: gate read-side sharing on the write side."""
@@ -421,7 +439,10 @@ class DynamicGranularityDetector(VectorClockRuntime):
         if self.lazy_epochs:
             self._materialize_epoch(tid)
         self.total_accesses += 1
-        if self._bitmap(self._read_seen, tid).test_and_set(addr, size):
+        bm = self._read_seen.get(tid)
+        if bm is None:
+            bm = self._read_seen[tid] = EpochBitmap()
+        if bm.test_and_set(addr, size):
             self.same_epoch_hits += 1
             return
         vc = self._vc(tid)
@@ -434,49 +455,51 @@ class DynamicGranularityDetector(VectorClockRuntime):
             and g.lo <= addr
             and g.hi >= end
             and g.count == g.hi - g.lo
-            and g.r.same_epoch(c, tid)
         ):
-            self.same_epoch_hits += 1
-            return
-
-        cfg = self.config
-        raced: List[Group] = []
-        touched: List[Group] = []
-        seg0 = g
-        if (
-            seg0 is not None
-            and seg0.lo <= addr
-            and seg0.hi >= end
-            and seg0.count == seg0.hi - seg0.lo
-        ):
-            segments = ((addr, end, seg0),)
+            r = g.r
+            if r.same_epoch(c, tid):
+                self.same_epoch_hits += 1
+                return
+            cfg = self.config
+            state = g.state
+            if not (cfg.init_state and is_init(state)) and not (
+                cfg.resharing_interval and state == PRIVATE
+            ):
+                # The common case: one hole-free firm group covers the
+                # access.  Stamp it in place as ``_stamp`` would, and
+                # mark the whole group only when it reaches past the
+                # access.
+                self.checked_accesses += 1
+                rvc = r.vc
+                if rvc is not None:
+                    rvc.set(tid, c)
+                else:
+                    r.record(c, tid, vc)
+                    if r.vc is not None:
+                        rm.recharge_clock(g)
+                g.site = site
+                if g.lo < addr or g.hi > end:
+                    bm.set_range(g.lo, g.count)
+            else:
+                touched: List[Group] = []
+                self._record_read(rm, g, addr, end, size, c, tid, vc, site, touched)
+                self._mark_read_groups(bm, touched, addr, end)
         else:
-            segments = rm.overlaps(addr, end)
-        for lo, hi, seg in segments:
-            if seg is None:
-                touched.append(self._first_access(rm, lo, hi, c, tid, vc, site))
-                continue
-            if seg.r.same_epoch(c, tid):
-                continue
-            self.checked_accesses += 1
-            if cfg.init_state and is_init(seg.state):
-                parent = seg
-                seg = self._second_epoch(rm, seg, lo, hi, size, c, tid, vc)
-                if parent is not seg and parent.charged:
-                    touched.append(parent)
-            elif cfg.resharing_interval and seg.state == PRIVATE:
-                seg = self._maybe_reshare(rm, seg, size, c, tid, vc)
-            self._stamp(rm, seg, c, tid, vc)
-            seg.site = site
-            touched.append(seg)
-        # Read side of the paper's group-granularity same-epoch rule:
-        # one member read marks the whole location for this epoch, so
-        # group-mates short-circuit at the bitmap.  Reads only record
-        # history (no check can be missed into a false alarm); the
-        # skipped recordings are the paper's "minimal loss in detection
-        # precision".
-        self._mark_read_groups(tid, touched, addr, end)
+            touched = []
+            for lo, hi, seg in rm.overlaps(addr, end):
+                if seg is None:
+                    touched.append(self._first_access(rm, lo, hi, c, tid, vc, site))
+                elif not seg.r.same_epoch(c, tid):
+                    self._record_read(rm, seg, lo, hi, size, c, tid, vc, site, touched)
+            # Read side of the paper's group-granularity same-epoch
+            # rule: one member read marks the whole location for this
+            # epoch, so group-mates short-circuit at the bitmap.  Reads
+            # only record history (no check can be missed into a false
+            # alarm); the skipped recordings are the paper's "minimal
+            # loss in detection precision".
+            self._mark_read_groups(bm, touched, addr, end)
         # Write-history check (FastTrack's write-read rule).
+        raced: List[Group] = []
         wm = self._wg
         wg0 = wm.table.get(addr)
         if (

@@ -18,10 +18,9 @@ targets, and measured, by:
   ``Trace.digest()`` hashes and the wire protocol's EVENTS rows reuse.
 """
 
-from repro.perf.batch import DEFAULT_BATCH_SPAN, BatchStats, coalesce_events
+from repro.perf.batch import DEFAULT_BATCH_SPAN, coalesce_events
 
 __all__ = [
     "DEFAULT_BATCH_SPAN",
-    "BatchStats",
     "coalesce_events",
 ]

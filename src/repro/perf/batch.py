@@ -34,11 +34,20 @@ in a run has the same size):
 
 A merged run is emitted as a 6-tuple ``(op, tid, addr, size, site,
 width)`` where ``size == n * width`` for ``n >= 2`` member accesses;
-events that did not merge stay plain 5-tuples.  The replay loop routes
-6-tuples through ``Detector.on_read_batch`` / ``on_write_batch``, whose
-default replays the run as its ``n`` member accesses; only detectors
-with an exact ranged shortcut (FastTrack, dynamic granularity) override
-it.
+events that did not merge are emitted as the 5-tuples they came in
+as.  The replay loop routes 6-tuples through
+``Detector.on_read_batch`` / ``on_write_batch``, whose default replays
+the run as its ``n`` member accesses; only detectors with an exact
+ranged shortcut (FastTrack, dynamic granularity) override it.
+
+Coalescing is one plain pass, so it costs less per event than the
+dispatch it saves: a pending run is its first event and its current
+end, and an event costs one unpack and a few integer compares; only a
+read that arrives while two or more read runs are pending loops over
+them (at most ``DEFAULT_MAX_STREAMS``) to find its run and test the
+gap to the others.
+``tests/perf/test_coalesce_differential.py`` holds it to a reference
+coalescer item for item.
 
 ``tests/testing/test_batch_conformance.py`` pins identical race reports
 and full ``statistics()`` between batched and unbatched replay for
@@ -49,7 +58,6 @@ modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.runtime.events import READ, WRITE
@@ -74,141 +82,128 @@ DEFAULT_MAX_STREAMS = 4
 MIN_STREAM_GAP = 64
 
 
-@dataclass(frozen=True)
-class BatchStats:
-    """How much a coalescing pass compressed the dispatch stream."""
-
-    events_in: int
-    events_out: int
-
-    @property
-    def coalesced(self) -> int:
-        """Events absorbed into a preceding ranged event."""
-        return self.events_in - self.events_out
-
-    @property
-    def ratio(self) -> float:
-        """Dispatch calls per original event (1.0 = nothing merged)."""
-        return self.events_out / self.events_in if self.events_in else 1.0
-
-
-def _emit(run: list) -> tuple:
-    """A pending run as an output event: a 6-tuple (with the member
-    width) when it absorbed at least one follow-up access, the original
-    5-tuple otherwise."""
-    if run[3] > run[5]:
-        return tuple(run)
-    return (run[0], run[1], run[2], run[3], run[4])
-
-
 def coalesce_events(events: Sequence[tuple]) -> List[tuple]:
     """The batched dispatch feed for ``events`` (plain 5-tuples, see
     :mod:`repro.runtime.events`).
 
     Sync and heap events never merge, always flush every pending run,
     and keep their position, so their ordering against all accesses is
-    preserved exactly.
+    preserved exactly.  An event that merged with nothing is emitted as
+    the tuple it came in as.
     """
     max_span = DEFAULT_BATCH_SPAN
     max_streams = DEFAULT_MAX_STREAMS
+    gap = MIN_STREAM_GAP
     out: List[tuple] = []
     append = out.append
-    # Pending read runs of the current same-thread read block, in
-    # first-member order; each is a mutable
-    # [op, tid, addr, size, site, width].
+    # Pending read runs of the current read block, all by thread
+    # ``rtid``, in first-member order; each is ``[end, lo, first]``
+    # with ``first`` the run's first event and ``lo`` its address.
     runs: List[list] = []
-    # Pending write run (strictly consecutive merging only).
-    pend = None
+    rtid = -1
+    # The pending write run (strictly consecutive merging only): its
+    # first event and its end.  Reads and a write are never pending
+    # together.
+    wfirst = None
+    wend = 0
 
     for ev in events:
         op, tid, addr, size, site = ev
+        hi = addr + size
         if op == READ:
-            if pend is not None:
-                append(_emit(pend))
-                pend = None
-            if runs:
-                if runs[0][1] != tid:
-                    for r in runs:
-                        append(_emit(r))
-                    runs.clear()
-                elif len(runs) == 1:
-                    # A lone run has no sibling to close on: grow it
-                    # without the gap scan.
-                    r = runs[0]
+            if runs and tid == rtid:
+                n = len(runs)
+                if n == 1:
+                    end, lo, first = r = runs[0]
                     if (
-                        r[4] == site
-                        and r[5] == size
-                        and r[2] + r[3] == addr
-                        and r[3] + size <= max_span
+                        end == addr
+                        and first[4] == site
+                        and first[3] == size
+                        and hi - lo <= max_span
                     ):
-                        r[3] += size
+                        r[0] = hi
                         continue
-            hi = addr + size
-            for r in runs:
-                if (
-                    r[4] == site
-                    and r[5] == size
-                    and r[2] + r[3] == addr
-                    and r[3] + size <= max_span
-                ):
-                    if all(
-                        o is r
-                        or hi + MIN_STREAM_GAP <= o[2]
-                        or o[2] + o[3] + MIN_STREAM_GAP <= r[2]
-                        for o in runs
-                    ):
-                        r[3] += size
-                        break
-                    # Growing this run would close on a sibling run:
-                    # flush the block, restart with this event alone.
-                    for q in runs:
-                        append(_emit(q))
-                    runs.clear()
-                    runs.append([op, tid, addr, size, site, size])
-                    break
-            else:
-                if len(runs) >= max_streams or not all(
-                    hi + MIN_STREAM_GAP <= o[2]
-                    or o[2] + o[3] + MIN_STREAM_GAP <= addr
-                    for o in runs
-                ):
+                    # A second stream opens at the gap from the lone
+                    # run; there are no other siblings to scan.
+                    if hi + gap <= lo or end + gap <= addr:
+                        runs.append([hi, addr, ev])
+                        continue
+                else:
                     for r in runs:
-                        append(_emit(r))
-                    runs.clear()
-                runs.append([op, tid, addr, size, site, size])
-            continue
+                        end, lo, first = r
+                        if (
+                            end == addr
+                            and first[4] == site
+                            and first[3] == size
+                            and hi - lo <= max_span
+                        ):
+                            break
+                    else:
+                        r = None
+                    if r is not None:
+                        # Grow ``r`` only while every sibling stays at
+                        # the gap from it.
+                        for o in runs:
+                            if o is not r and hi + gap > o[1] and o[0] + gap > lo:
+                                break
+                        else:
+                            r[0] = hi
+                            continue
+                    elif n < max_streams:
+                        # Or start one more stream, at the gap from
+                        # every other.
+                        for o in runs:
+                            if hi + gap > o[1] and o[0] + gap > addr:
+                                break
+                        else:
+                            runs.append([hi, addr, ev])
+                            continue
+        elif op == WRITE:
+            if (
+                wfirst is not None
+                and wend == addr
+                and wfirst[1] == tid
+                and wfirst[4] == site
+                and wfirst[3] == size
+                and hi - wfirst[2] <= max_span
+            ):
+                wend = hi
+                continue
+        # This event merges with nothing pending: emit every pending run.
         if runs:
-            for r in runs:
-                append(_emit(r))
+            for end, lo, first in runs:
+                if end - lo > first[3]:
+                    append((READ, rtid, lo, end - lo, first[4], first[3]))
+                else:
+                    append(first)
             runs.clear()
-        if op == WRITE:
-            if pend is not None:
-                if (
-                    pend[1] == tid
-                    and pend[4] == site
-                    and pend[5] == size
-                    and pend[2] + pend[3] == addr
-                    and pend[3] + size <= max_span
-                ):
-                    pend[3] += size
-                    continue
-                append(_emit(pend))
-            pend = [op, tid, addr, size, site, size]
-            continue
-        if pend is not None:
-            append(_emit(pend))
-            pend = None
-        append(tuple(ev))
-    if pend is not None:
-        append(_emit(pend))
-    for r in runs:
-        append(_emit(r))
+        elif wfirst is not None:
+            lo = wfirst[2]
+            if wend - lo > wfirst[3]:
+                append((WRITE, wfirst[1], lo, wend - lo, wfirst[4], wfirst[3]))
+            else:
+                append(wfirst)
+            wfirst = None
+        if op == READ:
+            rtid = tid
+            runs.append([hi, addr, ev])
+        elif op == WRITE:
+            wfirst = ev
+            wend = hi
+        else:
+            append(ev)
+    for end, lo, first in runs:
+        if end - lo > first[3]:
+            append((READ, rtid, lo, end - lo, first[4], first[3]))
+        else:
+            append(first)
+    if wfirst is not None:
+        lo = wfirst[2]
+        if wend - lo > wfirst[3]:
+            append((WRITE, wfirst[1], lo, wend - lo, wfirst[4], wfirst[3]))
+        else:
+            append(wfirst)
     return out
-
-
-def batch_stats(events: Sequence[tuple], batched: Sequence[tuple]) -> BatchStats:
-    """Stats pair for a feed and its coalesced form."""
-    return BatchStats(events_in=len(events), events_out=len(batched))
 
 
 def event_weight(ev: tuple) -> int:

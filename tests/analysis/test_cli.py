@@ -21,6 +21,29 @@ def test_run_command_reports_races(capsys):
     assert "data race(s) detected" in out
 
 
+@pytest.mark.parametrize("extra", [[], ["--shadow-budget", "64"]],
+                         ids=["plain", "budget"])
+def test_run_replays_the_trace_once(monkeypatch, capsys, extra):
+    """The printed races and the slowdown/memory line come from one
+    detector replay (plus the bare replay that times the base)."""
+    from repro.runtime import vm
+
+    replays = []
+    drive = vm.drive
+
+    def counting(events, table):
+        if table is not vm.NULL_HANDLERS:
+            replays.append(len(events))
+        return drive(events, table)
+
+    monkeypatch.setattr(vm, "drive", counting)
+    argv = ["run", "-w", "ffmpeg", "-d", "dynamic", "--scale", "0.2"]
+    assert main(argv + extra) == 0
+    out = capsys.readouterr().out
+    assert "slowdown" in out and "data race(s) detected" in out
+    assert len(replays) == 1
+
+
 def test_run_no_suppress_flag(capsys):
     assert (
         main(

@@ -9,8 +9,6 @@ from repro.perf.batch import (
     DEFAULT_BATCH_SPAN,
     DEFAULT_MAX_STREAMS,
     MIN_STREAM_GAP,
-    BatchStats,
-    batch_stats,
     coalesce_events,
 )
 from repro.runtime.events import ACQUIRE, FREE, READ, RELEASE, WRITE
@@ -190,7 +188,7 @@ def test_other_thread_read_flushes_the_block():
 
 
 # ----------------------------------------------------------------------
-# conservation + stats
+# conservation
 # ----------------------------------------------------------------------
 
 def test_total_bytes_and_members_are_conserved():
@@ -207,21 +205,6 @@ def test_total_bytes_and_members_are_conserved():
             width = ev[5] if len(ev) == 6 else ev[3]
             members += ev[3] // width
     assert members == sum(1 for ev in evs if ev[0] in (READ, WRITE))
-
-
-def test_batch_stats_ratio_and_coalesced():
-    evs = _writes(1, 0x100, 10)
-    out = coalesce_events(evs)
-    st = batch_stats(evs, out)
-    assert st == BatchStats(events_in=10, events_out=1)
-    assert st.coalesced == 9
-    assert st.ratio == 0.1
-
-
-def test_batch_stats_empty_feed():
-    st = batch_stats([], [])
-    assert st.ratio == 1.0
-    assert st.coalesced == 0
 
 
 # ----------------------------------------------------------------------
