@@ -351,7 +351,9 @@ class GroupManager:
         Group ids are assigned in first-member (lowest address) order —
         :meth:`ShadowTable.snapshot` visits records in strictly
         increasing address order, so the encoding is deterministic for
-        identical logical state regardless of creation history.
+        identical logical state regardless of creation history.  The
+        table is written as runs, so ``encode`` runs once per run of a
+        group's members in a bucket, not once per member byte.
         """
         order: List[Group] = []
         ids: dict = {}

@@ -12,9 +12,15 @@ Layout (all on disk, one file per checkpoint)::
 
 The manifest line is readable with ``head -2`` for triage; the payload
 is compressed because shadow state for a large trace is big but highly
-repetitive.  Writes are atomic (temp file + ``os.replace``), so a kill
-mid-write — the exact fault this subsystem injects on purpose — leaves
-either the previous file or none, never a truncated one.
+repetitive.  Schema 2 stores each shadow-table bucket as runs
+``[first_slot, length, record]`` (:meth:`ShadowTable.snapshot
+<repro.shadow.hash_table.ShadowTable.snapshot>`), so a group shared
+over many bytes is written once per bucket instead of once per byte;
+schema 1 wrote one ``[slot, record]`` pair per occupied slot and is
+refused like any other unknown version.  Writes are atomic (temp file
++ ``os.replace``), so a kill mid-write — the exact fault this
+subsystem injects on purpose — leaves either the previous file or
+none, never a truncated one.
 
 Every load failure is a typed :class:`CheckpointError`: bad magic,
 truncation, checksum mismatch, undecodable payload, unknown schema
@@ -41,7 +47,7 @@ MAGIC = b"RRCKPT1\n"
 #: Bump when the state encoding changes incompatibly.  Loaders refuse
 #: other versions outright — silently misinterpreting shadow state
 #: would be far worse than redoing the replay.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 #: checkpoint file names: ``ckpt-<event cursor>.ckpt``
@@ -106,9 +112,10 @@ class CheckpointDir:
         discarded."""
         self._bad.discard(path)
 
-    def prune(self) -> int:
+    def prune(self) -> Tuple[int, List[str]]:
         """Keep only the newest ``keep`` generations; returns the number
-        of files removed.
+        of files removed and the paths left, oldest first (what
+        :meth:`paths` would list next, without listing again).
 
         Each deletion is a single ``unlink`` (atomic — a crash mid-prune
         leaves extra generations, never a half-deleted one), oldest
@@ -116,14 +123,16 @@ class CheckpointDir:
         generation fallback keeps working.  A file that cannot be
         removed is still listed next time and retried then.
         """
-        removed = 0
-        for path in self.paths()[: -self.keep]:
+        found = self.paths()
+        stale = found[: -self.keep]
+        left = []
+        for path in stale:
             try:
                 os.unlink(path)
-                removed += 1
             except OSError:
-                continue
-        return removed
+                left.append(path)
+        left.extend(found[len(stale) :])
+        return len(found) - len(left), left
 
 
 def wrap_detector(inner, shadow_budget: Optional[int]):

@@ -220,12 +220,12 @@ class CheckpointedSession:
         )
         self._store.written(path)
         self.recovery["checkpoints_written"] += 1
-        self.recovery["checkpoints_gced"] += self._store.prune()
+        removed, found = self._store.prune()
+        self.recovery["checkpoints_gced"] += removed
         self._set_next_mark()
         if self._tail is None:
             return
         # Resume never rewinds past the oldest retained checkpoint.
-        found = self._store.paths()
         oldest = CheckpointDir.cursor_of(found[0]) if found else 0
         if oldest > self._tail_base:
             del self._tail[: oldest - self._tail_base]

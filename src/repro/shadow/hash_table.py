@@ -280,17 +280,39 @@ class ShadowTable:
     def snapshot(self, encode: Optional[Callable] = None) -> dict:
         """JSON-able structural state of the table.
 
+        Each bucket is ``[key, full, runs]``.  A run ``[first_slot,
+        length, record]`` covers ``length`` consecutive occupied slots
+        that hold the same object or records with equal encodings, so a
+        group shared over a whole entry is one run, not one pair per
+        byte.  Runs are maximal, never span an empty slot and never
+        continue into the next bucket.
+
         Buckets are emitted in sorted-key order and slots in index
-        order, so ``encode`` (applied to each stored record) observes
-        records in strictly increasing address order — the group
-        manager relies on this to assign deterministic group ids.
+        order, so ``encode`` (applied to the first slot of each stretch
+        of one object) observes records in strictly increasing address
+        order — the group manager relies on this to assign
+        deterministic group ids.
         """
         enc = encode if encode is not None else (lambda rec: rec)
         buckets = []
         for key in sorted(self._buckets):
             entry = self._buckets[key]
-            slots = [[i, enc(rec)] for i, rec in enumerate(entry) if rec is not None]
-            buckets.append([key, 1 if len(entry) == self.m else 0, slots])
+            runs = []
+            prev = run = None
+            for i, rec in enumerate(entry):
+                if rec is None:
+                    prev = run = None
+                elif rec is prev:
+                    run[1] += 1
+                else:
+                    prev = rec
+                    code = enc(rec)
+                    if run is not None and run[2] == code:
+                        run[1] += 1
+                    else:
+                        run = [i, 1, code]
+                        runs.append(run)
+            buckets.append([key, 1 if len(entry) == self.m else 0, runs])
         return {
             "m": self.m,
             "entry_count": self.entry_count,
@@ -302,19 +324,23 @@ class ShadowTable:
     def restore(self, state: dict, decode: Optional[Callable] = None) -> None:
         """Rebuild the table from :meth:`snapshot` output in place.
 
-        Buckets are built directly at their recorded size class, so
-        ``on_resize`` never fires: the owner restores its memory-model
-        counters verbatim instead of replaying allocation history.
+        ``decode`` runs once per slot, so every slot of a run gets its
+        own decoded record (a per-byte FastTrack record stays private
+        to its byte).  Buckets are built directly at their recorded
+        size class, so ``on_resize`` never fires: the owner restores its
+        memory-model counters verbatim instead of replaying allocation
+        history.
         """
         if state["m"] != self.m:
             raise ValueError(f"snapshot m={state['m']} != table m={self.m}")
         dec = decode if decode is not None else (lambda rec: rec)
         small = self.m // 4
         buckets: dict = {}
-        for key, full, slots in state["buckets"]:
+        for key, full, runs in state["buckets"]:
             entry = [None] * (self.m if full else small)
-            for idx, rec in slots:
-                entry[idx] = dec(rec)
+            for first, length, rec in runs:
+                for idx in range(first, first + length):
+                    entry[idx] = dec(rec)
             buckets[key] = entry
         self._buckets = buckets
         self.entry_count = state["entry_count"]

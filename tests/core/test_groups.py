@@ -198,3 +198,17 @@ def test_stats_bump_records_avg_sharing_at_peak():
     st = m.stats
     assert st.max_clocks == 2
     assert st.avg_sharing_at_peak == 20.0  # (32 + 8) / 2
+
+
+def test_snapshot_encodes_a_bucket_filling_group_as_one_run():
+    m = _mgr()
+    g = m.new_group(0x200, 0x280, INIT_PRIVATE)
+    assert m.table.m == 128
+    snap = m.snapshot()
+    assert snap["table"]["buckets"] == [[0x200 >> 7, 1, [[0, 128, 0]]]]
+    assert [grp[:3] for grp in snap["groups"]] == [[g.lo, g.hi, 128]]
+    back = _mgr()
+    back.restore(snap)
+    (only,) = back.live_groups()
+    assert all(back.table.get(a) is only for a in range(0x200, 0x280))
+    assert back.snapshot() == snap

@@ -20,6 +20,7 @@ from repro.detectors.guards import GuardedDetector
 from repro.detectors.registry import available_detectors, create_detector
 from repro.runtime.trace import Trace
 from repro.runtime.vm import dispatch_event, replay
+from repro.server.protocol import dumps_canonical
 from repro.testing.golden import default_corpus_dir, load_manifest
 from repro.workloads.base import default_suppression
 from repro.workloads.registry import build_trace
@@ -127,6 +128,44 @@ def test_golden_corpus_roundtrips(name):
     got = _cut_and_restore(trace, make, cut)
     assert _race_keys(got) == _race_keys(want), (name, cut)
     assert got.statistics() == want.statistics(), (name, cut)
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["unbatched", "batched"])
+@pytest.mark.parametrize(
+    "detector", ["fasttrack-dynamic", "fasttrack-byte", "fasttrack-word"]
+)
+@pytest.mark.parametrize("name", sorted(load_manifest()))
+def test_run_encoded_tables_restore_exactly(name, detector, batched):
+    """Shadow tables checkpoint as runs; restore decodes every slot.
+
+    Restore-then-snapshot must give the checkpointed bytes back, and
+    the restored detector must finish the feed in exactly the state,
+    races and statistics of the uninterrupted run — a record shared
+    across a run's slots would leak one byte's update into its
+    neighbours."""
+    trace = Trace.load(os.path.join(default_corpus_dir(), f"{name}.npz"))
+    feed = trace.coalesced() if batched else trace.events
+
+    def make():
+        return create_detector(detector, suppress=default_suppression)
+
+    want = _uninterrupted(trace, make, batched=batched)
+    first = make()
+    cut = len(feed) // 2
+    for ev in feed[:cut]:
+        dispatch_event(first, ev)
+    saved = dumps_canonical(first.snapshot_state())
+    second = make()
+    second.restore_state(_json_round_trip(first.snapshot_state()))
+    assert dumps_canonical(second.snapshot_state()) == saved
+    for ev in feed[cut:]:
+        dispatch_event(second, ev)
+    second.finish()
+    assert _race_keys(second) == _race_keys(want)
+    assert second.statistics() == want.statistics()
+    assert dumps_canonical(second.snapshot_state()) == dumps_canonical(
+        want.snapshot_state()
+    )
 
 
 def test_restore_refuses_wrong_detector_state():

@@ -1,7 +1,9 @@
 """Tests for the checkpoint file format (recovery/checkpoint.py)."""
 
+import hashlib
 import json
 import os
+import pathlib
 import zlib
 
 import pytest
@@ -9,12 +11,15 @@ import pytest
 from repro.recovery.checkpoint import (
     MAGIC,
     SCHEMA_VERSION,
+    CheckpointDir,
     CheckpointError,
     read_checkpoint,
     read_manifest,
     validate_manifest,
     write_checkpoint,
 )
+from repro.server.tenant import TenantSession
+from repro.workloads.registry import build_trace
 
 STATE = {"kind": "demo", "table": [[1, 2], [3, 4]], "clock": [0, 5, 7]}
 
@@ -240,3 +245,123 @@ def test_manifest_without_shard_field_loads(tmp_path):
     got, state = read_checkpoint(str(path))
     assert "shards" not in got and state == STATE
     _validate(got, path)
+
+
+def _as_schema_1(path):
+    """Rewrite a schema-2 checkpoint of a dynamic detector as schema 1
+    wrote it: one ``[slot, record]`` pair per occupied table slot and
+    ``"schema":1`` in the manifest (payload checksum and length kept
+    valid, so only the version can refuse it)."""
+    manifest, state = read_checkpoint(str(path))
+    for manager in ("wg", "rg"):
+        table = state[manager]["table"]
+        table["buckets"] = [
+            [key, full, [[i, gid] for a, n, gid in runs for i in range(a, a + n)]]
+            for key, full, runs in table["buckets"]
+        ]
+    payload = zlib.compress(
+        json.dumps(state, sort_keys=True, separators=(",", ":")).encode("ascii")
+    )
+    manifest.update(
+        schema=1,
+        payload_sha256=hashlib.sha256(payload).hexdigest(),
+        payload_bytes=len(payload),
+    )
+    head = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    path.write_bytes(MAGIC + head.encode("ascii") + b"\n" + payload)
+
+
+def _tenant(tmp_path):
+    return TenantSession(
+        "t1",
+        "fasttrack-dynamic",
+        checkpoint_dir=str(tmp_path / "ck"),
+        checkpoint_every=300,
+    )
+
+
+def _stream(session, rows, chunk=100):
+    for start in range(0, len(rows), chunk):
+        session.dispatch_chunk(rows[start : start + chunk])
+        session.commit_chunk(rows[start : start + chunk])
+
+
+@pytest.fixture
+def stream_rows():
+    trace = build_trace("streamcluster", scale=0.05, seed=0)
+    return [tuple(ev) for ev in trace.events[:1200]]
+
+
+def test_schema_1_per_slot_checkpoint_is_refused(tmp_path, stream_rows):
+    assert SCHEMA_VERSION == 2
+    session = _tenant(tmp_path)
+    _stream(session, stream_rows)
+    path = pathlib.Path(session.checkpoints()[-1])
+    _as_schema_1(path)
+    with pytest.raises(CheckpointError, match="schema version 1 not supported"):
+        read_checkpoint(str(path))
+
+
+def test_adopt_over_only_schema_1_checkpoints_restarts_cold(
+    tmp_path, stream_rows
+):
+    _stream(_tenant(tmp_path), stream_rows)
+    old = sorted((tmp_path / "ck").glob("ckpt-*.ckpt"))
+    assert len(old) == 3
+    for path in old:
+        _as_schema_1(path)
+    heir = _tenant(tmp_path)
+    heir.adopt()
+    assert heir.recovery["bad_checkpoints"] == 3
+    assert heir.recovery["cold_restarts"] == 1
+    assert heir.events_done == heir.feed_done == 0
+    assert heir.checkpoints() == []
+    # The cold session streams from event 0 and checkpoints schema 2.
+    _stream(heir, stream_rows[:300])
+    manifest, _state = read_checkpoint(heir.checkpoints()[-1])
+    assert manifest["schema"] == 2
+
+
+def test_prune_returns_the_retained_paths(tmp_path, monkeypatch):
+    store = CheckpointDir(str(tmp_path), keep=2)
+    for cursor in (100, 200, 300, 400):
+        _write(store.path_for(cursor), event_cursor=cursor)
+    assert store.prune() == (2, [store.path_for(300), store.path_for(400)])
+    assert store.paths() == [store.path_for(300), store.path_for(400)]
+    _write(store.path_for(500), event_cursor=500)
+    _write(store.path_for(600), event_cursor=600)
+    stuck = store.path_for(300)
+    real_unlink = os.unlink
+
+    def unlink(path):
+        if path == stuck:
+            raise PermissionError(path)
+        real_unlink(path)
+
+    monkeypatch.setattr(os, "unlink", unlink)
+    removed, left = store.prune()
+    assert removed == 1
+    assert left == store.paths()
+    assert left == [stuck, store.path_for(500), store.path_for(600)]
+
+
+def test_checkpoint_lists_the_directory_once(
+    tmp_path, stream_rows, monkeypatch
+):
+    session = _tenant(tmp_path)
+    _stream(session, stream_rows[:1100])
+    assert session.recovery["checkpoints_gced"] == 0
+    listings = []
+    real_listdir = os.listdir
+    monkeypatch.setattr(
+        os, "listdir", lambda path: listings.append(path) or real_listdir(path)
+    )
+    session.checkpoint_now()
+    assert listings == [session.checkpoint_dir]
+    assert session.recovery["checkpoints_gced"] == 1
+    assert [CheckpointDir.cursor_of(p) for p in session.checkpoints()] == [
+        600,
+        900,
+        1100,
+    ]
+    assert session._tail_base == 600

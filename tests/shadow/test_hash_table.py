@@ -220,3 +220,64 @@ def test_set_range_single_aligned_byte_keeps_small_entry():
     t.set_range(0x100, 0x101, "x")  # one word-aligned byte
     assert t.slot_count == 32       # no expansion needed
     assert t.get(0x100) == "x"
+
+
+class _Rec:
+    """A mutable record whose encoding is its value."""
+
+    def __init__(self, v):
+        self.v = v
+
+
+def _runs(t, encode=None):
+    return [runs for _key, _full, runs in t.snapshot(encode)["buckets"]]
+
+
+def test_snapshot_one_object_over_a_whole_bucket_is_one_run():
+    t = ShadowTable(m=128)
+    t.set_range(0x100, 0x180, "g")
+    calls = []
+    assert _runs(t, lambda rec: calls.append(rec) or rec) == [[[0, 128, "g"]]]
+    assert calls == ["g"]
+
+
+def test_snapshot_run_stops_at_a_hole():
+    t = ShadowTable(m=128)
+    t.set_range(0x100, 0x110, "g")
+    t.delete(0x104)
+    assert _runs(t) == [[[0, 4, "g"], [5, 11, "g"]]]
+
+
+def test_snapshot_run_stops_at_a_bucket_boundary():
+    t = ShadowTable(m=128)
+    t.set_range(0x170, 0x190, "g")
+    assert _runs(t) == [[[0x70, 16, "g"]], [[0, 16, "g"]]]
+
+
+def test_snapshot_merges_equal_encodings_not_unequal_ones():
+    t = ShadowTable(m=128)
+    for a, v in zip(range(0x100, 0x106), [1, 1, 1, 2, 2, 1]):
+        t.set(a, _Rec(v))
+    assert _runs(t, lambda rec: rec.v) == [[[0, 3, 1], [3, 2, 2], [5, 1, 1]]]
+
+
+def test_snapshot_runs_on_word_entries():
+    t = ShadowTable(m=128)
+    for a in (0x100, 0x104, 0x108, 0x110):
+        t.set(a, "w")
+    snap = t.snapshot()
+    assert snap["buckets"] == [[2, 0, [[0, 3, "w"], [4, 1, "w"]]]]
+
+
+def test_restore_decodes_every_slot_of_a_run():
+    t = ShadowTable(m=128)
+    for a in range(0x100, 0x108):
+        t.set(a, _Rec(7))
+    snap = t.snapshot(lambda rec: rec.v)
+    assert snap["buckets"] == [[2, 1, [[0, 8, 7]]]]
+    back = ShadowTable(m=128)
+    back.restore(snap, _Rec)
+    recs = [back.get(a) for a in range(0x100, 0x108)]
+    assert [r.v for r in recs] == [7] * 8
+    assert len({id(r) for r in recs}) == 8
+    assert back.snapshot(lambda rec: rec.v) == snap
