@@ -6,72 +6,9 @@
 * :mod:`repro.analysis.tables` — regenerate Tables 1-6 from those runs.
 * :mod:`repro.analysis.report` — human-readable race reports with the
   paper's library-suppression rules.
+* :mod:`repro.analysis.hbgraph` — the happens-before graph oracle
+  (needs networkx).
+
+The package imports none of its submodules: import the one you need,
+so that a command pays only for what it runs.
 """
-
-from repro.analysis.compare import (
-    Comparison,
-    compare_detectors,
-    compare_instances,
-    format_comparison,
-)
-from repro.analysis.fuzz import (
-    FuzzResult,
-    TrialTimeout,
-    format_fuzz_result,
-    fuzz_schedules,
-    run_fuzz,
-)
-from repro.analysis.hbgraph import build_hb_graph, concurrent_access_pairs, racy_bytes
-from repro.analysis.quarantine import (
-    QuarantineStore,
-    crash_predicate,
-    format_entries,
-)
-from repro.analysis.metrics import Measurement, measure, measure_many
-from repro.analysis.report import format_races, summarize_races
-from repro.analysis.suppressions import SuppressionSet, default_suppression_set
-from repro.analysis.tracestats import TraceStats, compute_stats, format_stats
-from repro.analysis.tables import (
-    format_table,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-)
-
-__all__ = [
-    "Comparison",
-    "compare_detectors",
-    "compare_instances",
-    "format_comparison",
-    "SuppressionSet",
-    "default_suppression_set",
-    "FuzzResult",
-    "TrialTimeout",
-    "fuzz_schedules",
-    "run_fuzz",
-    "format_fuzz_result",
-    "QuarantineStore",
-    "crash_predicate",
-    "format_entries",
-    "build_hb_graph",
-    "concurrent_access_pairs",
-    "racy_bytes",
-    "TraceStats",
-    "compute_stats",
-    "format_stats",
-    "Measurement",
-    "measure",
-    "measure_many",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "format_table",
-    "format_races",
-    "summarize_races",
-]

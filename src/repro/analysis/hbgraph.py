@@ -9,9 +9,7 @@ ground-truth reachability check, and for exporting DOT files.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.runtime.events import (
     ACQUIRE,
@@ -23,6 +21,9 @@ from repro.runtime.events import (
 )
 from repro.runtime.trace import Trace
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 #: node label: (event index, op, tid, addr)
 Node = int
 
@@ -33,6 +34,8 @@ def build_hb_graph(trace: Trace) -> "nx.DiGraph":
     Nodes carry ``op``/``tid``/``addr``/``size``/``site`` attributes;
     edges carry ``kind`` in {"po", "sync", "fork", "join"}.
     """
+    import networkx as nx
+
     g = nx.DiGraph()
     last_of_thread: Dict[int, int] = {}
     # Sync objects accumulate releases (join semantics): an acquire is
@@ -78,6 +81,8 @@ def ordered(g: "nx.DiGraph", a: Node, b: Node) -> bool:
     """Is event ``a`` happens-before event ``b`` (or equal)?"""
     if a == b:
         return True
+    import networkx as nx
+
     return nx.has_path(g, a, b)
 
 

@@ -33,10 +33,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis import tables as tables_mod
-from repro.analysis.metrics import measurement_of
-from repro.analysis.report import format_races, summarize_races
-from repro.analysis.tables import format_table
 from repro.analysis.quarantine import DEFAULT_QUARANTINE_DIR
 from repro.detectors.guards import GuardedDetector, UnenforceableBudgetError
 from repro.detectors.registry import (
@@ -77,13 +73,15 @@ def _detector_arg(name: str) -> str:
         )
     return name
 
+
+#: Table number -> title; ``_cmd_table`` resolves ``tables.table<N>``.
 TABLES = {
-    "1": (tables_mod.table1, "Overall results (slowdown / memory / races)"),
-    "2": (tables_mod.table2, "Memory overhead breakdown (hash / VC / bitmap)"),
-    "3": (tables_mod.table3, "Maximum number of vector clocks"),
-    "4": (tables_mod.table4, "Same-epoch access percentages"),
-    "5": (tables_mod.table5, "State-machine configurations (ablation)"),
-    "6": (tables_mod.table6, "Comparison with DRD / Inspector stand-ins"),
+    "1": "Overall results (slowdown / memory / races)",
+    "2": "Memory overhead breakdown (hash / VC / bitmap)",
+    "3": "Maximum number of vector clocks",
+    "4": "Same-epoch access percentages",
+    "5": "State-machine configurations (ablation)",
+    "6": "Comparison with DRD / Inspector stand-ins",
 }
 
 
@@ -476,6 +474,9 @@ def _budget_refused(args) -> bool:
 
 
 def _cmd_run(args) -> int:
+    from repro.analysis.metrics import measurement_of
+    from repro.analysis.report import format_races, summarize_races
+
     if _budget_refused(args):
         return 2
     workload = _resolve(args.workload)
@@ -521,6 +522,7 @@ def _run_session(args, workload, trace) -> int:
     """
     import os
 
+    from repro.analysis.report import format_races, summarize_races
     from repro.recovery import CheckpointError, DetectionSession
 
     suppress = None if args.no_suppress else default_suppression
@@ -557,10 +559,13 @@ def _run_session(args, workload, trace) -> int:
 
 
 def _cmd_table(args) -> int:
-    fn, title = TABLES[args.number]
+    from repro.analysis import tables
+
+    fn = getattr(tables, f"table{args.number}")
     workloads = args.workloads.split(",") if args.workloads else None
     rows = fn(scale=args.scale, seed=args.seed, workloads=workloads)
-    print(format_table(rows, f"Table {args.number}: {title}"))
+    title = f"Table {args.number}: {TABLES[args.number]}"
+    print(tables.format_table(rows, title))
     return 0
 
 
@@ -683,6 +688,8 @@ def _cmd_hbgraph(args) -> int:
 
 
 def _cmd_replay(args) -> int:
+    from repro.analysis.report import format_races
+
     trace = Trace.load(args.trace)
     base = bare_replay(trace)
     det = create_detector(args.detector, suppress=default_suppression)
@@ -890,7 +897,8 @@ def _cmd_serve(args) -> int:
             f"(default detector {config.detector}, "
             f"checkpoints under {config.checkpoint_root}"
             + ("".join(", " + e for e in extras))
-            + ")"
+            + ")",
+            flush=True,  # scripts wait for this line on a pipe or file
         )
         loop = asyncio.get_running_loop()
         stop = asyncio.Event()

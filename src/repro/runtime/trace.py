@@ -13,8 +13,6 @@ import os
 import tempfile
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
-import numpy as np
-
 from repro.runtime.events import ACQUIRE, ALLOC, FREE, JOIN, OP_NAMES, WRITE, Event
 
 
@@ -188,6 +186,8 @@ class Trace:
         as an open file object because ``savez_compressed`` appends
         ``.npz`` to bare string paths, which would break the rename.
         """
+        import numpy as np
+
         arr = np.asarray(self.events, dtype=np.int64).reshape(-1, 5)
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
@@ -217,6 +217,8 @@ class Trace:
     @classmethod
     def load(cls, path: str) -> "Trace":
         """Load a trace previously written by :meth:`save`."""
+        import numpy as np
+
         data = np.load(path, allow_pickle=False)
         events = [tuple(int(x) for x in row) for row in data["events"]]
         keys = [str(k) for k in data["heap_keys"]]

@@ -5,9 +5,12 @@ by ``length`` payload bytes.  Event payloads reuse the canonical binlog
 record format (:mod:`repro.perf.binlog`): each event is one 40-byte
 ``<5q`` row ``(op, tid, addr, size, site)`` — the exact bytes
 ``Trace.binlog()`` stores, so a recorded trace streams to the server
-with no re-encoding.  Everything else (handshakes, results, errors) is
-canonical JSON: sorted keys, no whitespace — deterministic bytes, so
-result frames inherit the recovery subsystem's byte-identity contract.
+with no re-encoding.  Rows are packed and unpacked by the one
+:data:`EVENT_STRUCT`; this module needs only the standard library, so
+the daemon's import path loads no numpy.  Everything else
+(handshakes, results, errors) is canonical JSON: sorted keys, no
+whitespace — deterministic bytes, so result frames inherit the
+recovery subsystem's byte-identity contract.
 
 Robustness rules, enforced by :class:`FrameDecoder` and the codecs:
 
@@ -42,8 +45,6 @@ import hmac as _hmac
 import json
 import struct
 from typing import Iterator, List, Optional, Tuple
-
-import numpy as np
 
 #: First bytes of every HELLO payload: protocol magic + version.
 HELLO_MAGIC = b"RRSRV1\n"
@@ -309,20 +310,24 @@ class FrameDecoder:
 # event payloads (binlog row format)
 # ----------------------------------------------------------------------
 def encode_events(events) -> bytes:
-    """Pack event 5-tuples into consecutive ``<5q`` rows."""
-    if len(events) == 0:  # e.g. a replay tail ending on a checkpoint
-        return b""
-    arr = np.asarray(events, dtype="<i8")
-    if arr.ndim != 2 or arr.shape[1] != 5:
-        raise ValueError(f"expected (n, 5) events, got shape {arr.shape}")
-    return arr.tobytes()
+    """Pack event 5-tuples into consecutive ``<5q`` rows.
+
+    Raises :class:`ValueError` on a row that is not five integers
+    (``struct`` refuses floats and out-of-range values rather than
+    truncating them)."""
+    pack = EVENT_STRUCT.pack
+    try:
+        return b"".join([pack(*ev) for ev in events])
+    except struct.error as exc:
+        raise ValueError(f"bad event row: {exc}") from exc
 
 
 def decode_events(payload: bytes) -> List[tuple]:
     """Unpack and validate an EVENTS payload into event 5-tuples.
 
     Rejects ragged payloads (not a multiple of the 40-byte record),
-    unknown op codes, and negative sizes — each with a typed
+    unknown op codes, negative thread ids and negative sizes — checked
+    in that order over the whole payload, each with a typed
     :class:`ProtocolError` so one malformed batch can only ever poison
     its own session.
     """
@@ -334,16 +339,16 @@ def decode_events(payload: bytes) -> List[tuple]:
             f"events payload of {len(payload)} bytes is not a multiple "
             f"of the {EVENT_BYTES}-byte record",
         )
-    arr = np.frombuffer(payload, dtype="<i8").reshape(-1, 5)
-    ops = arr[:, 0]
-    if ops.min(initial=0) < 0 or ops.max(initial=0) >= _N_OPS:
-        bad = int(ops[(ops < 0) | (ops >= _N_OPS)][0])
+    rows = list(EVENT_STRUCT.iter_unpack(payload))
+    ops, tids, _, sizes, _ = zip(*rows)
+    if min(ops) < 0 or max(ops) >= _N_OPS:
+        bad = next(op for op in ops if op < 0 or op >= _N_OPS)
         raise ProtocolError(E_BAD_EVENT, f"unknown op code {bad}")
-    if arr[:, 1].min(initial=0) < 0:
+    if min(tids) < 0:
         raise ProtocolError(E_BAD_EVENT, "negative thread id")
-    if arr[:, 3].min(initial=0) < 0:
+    if min(sizes) < 0:
         raise ProtocolError(E_BAD_EVENT, "negative size")
-    return [tuple(row) for row in arr.tolist()]
+    return rows
 
 
 def iter_event_chunks(

@@ -13,56 +13,6 @@ refactored without being precious about existing code.
   deterministic regeneration tool (``repro-race golden``).
 * :mod:`repro.testing.probe` — instrumented dynamic detector recording
   read-sharing provenance for miss attribution.
+
+The package imports none of its submodules: import the one you need.
 """
-
-from repro.testing.oracle import (
-    COARSE_UPDATE_EXTRA,
-    GROUP_MATE_EXTRA,
-    READ_GROUP_LOSS,
-    UNEXPLAINED_EXTRA,
-    UNEXPLAINED_MISSING,
-    Divergence,
-    OracleReport,
-    differential_check,
-)
-from repro.testing.probe import ProbedDynamicDetector
-from repro.testing.shrink import (
-    ShrinkBudgetExceeded,
-    ShrinkResult,
-    diverges,
-    racy_at,
-    shrink_trace,
-)
-from repro.testing.golden import (
-    DEFAULT_ENTRIES,
-    GoldenEntry,
-    build_entry,
-    default_corpus_dir,
-    load_manifest,
-    regenerate,
-    verify,
-)
-
-__all__ = [
-    "COARSE_UPDATE_EXTRA",
-    "GROUP_MATE_EXTRA",
-    "READ_GROUP_LOSS",
-    "UNEXPLAINED_EXTRA",
-    "UNEXPLAINED_MISSING",
-    "Divergence",
-    "OracleReport",
-    "differential_check",
-    "ProbedDynamicDetector",
-    "ShrinkBudgetExceeded",
-    "ShrinkResult",
-    "diverges",
-    "racy_at",
-    "shrink_trace",
-    "DEFAULT_ENTRIES",
-    "GoldenEntry",
-    "build_entry",
-    "default_corpus_dir",
-    "load_manifest",
-    "regenerate",
-    "verify",
-]

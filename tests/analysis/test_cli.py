@@ -144,6 +144,55 @@ def test_hbgraph_to_stdout(tmp_path, capsys):
     assert "digraph hb {" in capsys.readouterr().out
 
 
+_COLD_START = """
+import sys
+
+sys.modules["networkx"] = None  # any import of either now fails
+sys.modules["numpy"] = None
+
+from repro.cli import _build_parser, main
+import repro.server.daemon
+
+_build_parser()
+assert main(["list"]) == 0
+
+del sys.modules["numpy"]  # reading the .npz trace needs it
+try:
+    main(["hbgraph", sys.argv[1]])
+except ImportError as err:
+    print("hbgraph failed:", err)
+else:
+    raise AssertionError("hbgraph ran without networkx")
+"""
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    """A fresh interpreter that can import neither numpy nor networkx
+    still parses every command, lists, and imports the daemon; only the
+    command that draws a graph asks for networkx."""
+    import subprocess
+    import sys
+
+    import repro
+
+    trace_path = os.path.join(tmp_path, "t.npz")
+    assert main(["record", "-w", "ffmpeg", "--scale", "0.1",
+                 "-o", trace_path]) == 0
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, trace_path],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "fasttrack-dynamic" in proc.stdout
+    assert "hbgraph failed:" in proc.stdout
+    assert "networkx" in proc.stdout.split("hbgraph failed:")[1]
+
+
 def test_stats_command(capsys):
     assert main(["stats", "-w", "pbzip2", "--scale", "0.2"]) == 0
     out = capsys.readouterr().out

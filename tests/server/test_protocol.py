@@ -11,6 +11,7 @@ import struct
 import pytest
 
 from repro.server import protocol as P
+from repro.workloads.registry import workload_names
 
 
 def _frames(*chunks):
@@ -96,6 +97,32 @@ class TestEventCodec:
             P.decode_events(payload)
         assert err.value.code == P.E_BAD_EVENT
 
+    def test_negative_size(self):
+        payload = P.encode_events([(1, 0, 4096, -1, 0)])
+        with pytest.raises(P.ProtocolError) as err:
+            P.decode_events(payload)
+        assert err.value.code == P.E_BAD_EVENT
+        assert "negative size" in err.value.message
+
+    def test_op_code_checked_before_thread_id(self):
+        """Each check runs over the whole payload before the next: an
+        unknown op code in row 1 wins over a negative thread id in row 0."""
+        payload = P.encode_events([(1, -4, 0, 4, 0), (9, 0, 0, 4, 0)])
+        with pytest.raises(P.ProtocolError) as err:
+            P.decode_events(payload)
+        assert err.value.code == P.E_BAD_EVENT
+        assert err.value.message == "unknown op code 9"
+
+    def test_encode_rejects_short_row(self):
+        with pytest.raises(ValueError):
+            P.encode_events([(1, 0, 4096, 4)])
+
+    def test_encode_rejects_non_integer_field(self):
+        """A float op code is refused, not truncated (1.7 would become
+        op 1, a write)."""
+        with pytest.raises(ValueError):
+            P.encode_events([(1.7, 0, 4096, 4, 0)])
+
     def test_chunking(self):
         events = [(0, 0, i, 1, 0) for i in range(10)]
         chunks = list(P.iter_event_chunks(events, 4))
@@ -103,19 +130,21 @@ class TestEventCodec:
         rejoined = [e for c in chunks for e in P.decode_events(c)]
         assert rejoined == events
 
-    def test_binlog_row_compatibility(self):
+    @pytest.mark.parametrize("workload", workload_names())
+    def test_binlog_row_compatibility(self, workload):
         """EVENTS payloads are binlog rows: a recorded trace's binary
         form streams to the server without re-encoding."""
         from repro.workloads.registry import build_trace
 
         from repro.perf.binlog import _EVENTS_OFF, EVENT_RECORD_BYTES
 
-        trace = build_trace("raytrace", scale=0.05, seed=0)
+        trace = build_trace(workload, scale=0.05, seed=0)
         payload = P.encode_events([tuple(ev) for ev in trace.events])
         rows = trace.binlog()[
             _EVENTS_OFF : _EVENTS_OFF + len(trace) * EVENT_RECORD_BYTES
         ]
         assert payload == rows
+        assert P.decode_events(payload) == [tuple(ev) for ev in trace.events]
 
 
 class TestHello:
