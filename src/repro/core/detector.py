@@ -59,6 +59,7 @@ from repro.detectors.base import (
 )
 from repro.shadow.accounting import BITMAP, HASH, MemoryModel, SizeModel
 from repro.shadow.bitmap import EpochBitmap
+from repro.shadow.hash_table import MIXED
 
 
 def _stamped(mgr: GroupManager, g: Group, clock: int, tid: int) -> bool:
@@ -235,7 +236,7 @@ class DynamicGranularityDetector(VectorClockRuntime):
                 and g.count == g.hi - g.lo
                 and (g.lo < lo or g.hi > hi)
             ):
-                bm.set_range(g.lo, g.count)
+                bm.cover(g.lo, g.hi, g.hi)
 
     def _record_read(
         self, rm: GroupManager, seg: Group, lo: int, hi: int, acc_size: int,
@@ -354,14 +355,28 @@ class DynamicGranularityDetector(VectorClockRuntime):
 
         cfg = self.config
         raced: List[Group] = []
-        seg0 = g
-        if (
-            seg0 is not None
-            and seg0.lo <= addr
-            and seg0.hi >= end
-            and seg0.count == seg0.hi - seg0.lo
-        ):
-            segments = ((addr, end, seg0),)
+        if g is None:
+            left = wm.table.left_of_gap(addr, end)
+            if left is MIXED:
+                segments = wm.overlaps(addr, end)
+            else:
+                # First touch: no write group anywhere in the access.
+                segments = ()
+                if (
+                    left is not None
+                    and left.wc == c
+                    and left.wt == tid
+                    and cfg.init_state
+                    and cfg.share_at_init
+                    and is_init(left.state)
+                ):
+                    wm.adopt(left, addr, end)
+                    left.state = INIT_SHARED
+                    left.site = site
+                else:
+                    self._first_access(wm, addr, end, c, tid, vc, site)
+        elif g.lo <= addr and g.hi >= end and g.count == g.hi - g.lo:
+            segments = ((addr, end, g),)
         else:
             segments = wm.overlaps(addr, end)
         for lo, hi, seg in segments:
@@ -397,16 +412,13 @@ class DynamicGranularityDetector(VectorClockRuntime):
         # Read-history check (FastTrack's read-write rule), once per
         # overlapping read group.
         rm = self._rg
-        rg0 = rm.table.get(addr)
-        if (
-            rg0 is not None
-            and rg0.lo <= addr
-            and rg0.hi >= end
-            and rg0.count == rg0.hi - rg0.lo
-        ):
-            read_segs = ((addr, end, rg0),)
-        else:
+        rg0 = rm.table.sole(addr, end)
+        if rg0 is None:
+            read_segs = ()
+        elif rg0 is MIXED:
             read_segs = rm.overlaps(addr, end)
+        else:
+            read_segs = ((addr, end, rg0),)
         raced_reads: List[Group] = []
         for lo, hi, rg in read_segs:
             if rg is None:
@@ -485,32 +497,56 @@ class DynamicGranularityDetector(VectorClockRuntime):
                 self._record_read(rm, g, addr, end, size, c, tid, vc, site, touched)
                 self._mark_read_groups(bm, touched, addr, end)
         else:
-            touched = []
-            for lo, hi, seg in rm.overlaps(addr, end):
-                if seg is None:
-                    touched.append(self._first_access(rm, lo, hi, c, tid, vc, site))
-                elif not seg.r.same_epoch(c, tid):
-                    self._record_read(rm, seg, lo, hi, size, c, tid, vc, site, touched)
             # Read side of the paper's group-granularity same-epoch
             # rule: one member read marks the whole location for this
             # epoch, so group-mates short-circuit at the bitmap.  Reads
             # only record history (no check can be missed into a false
             # alarm); the skipped recordings are the paper's "minimal
             # loss in detection precision".
-            self._mark_read_groups(bm, touched, addr, end)
+            left = MIXED if g is not None else rm.table.left_of_gap(addr, end)
+            if left is MIXED:
+                touched = []
+                for lo, hi, seg in rm.overlaps(addr, end):
+                    if seg is None:
+                        touched.append(
+                            self._first_access(rm, lo, hi, c, tid, vc, site)
+                        )
+                    elif not seg.r.same_epoch(c, tid):
+                        self._record_read(
+                            rm, seg, lo, hi, size, c, tid, vc, site, touched
+                        )
+                self._mark_read_groups(bm, touched, addr, end)
+            elif (
+                left is not None
+                and left.r.same_epoch(c, tid)
+                and self.config.init_state
+                and self.config.share_at_init
+                and is_init(left.state)
+            ):
+                # First touch next to this thread's Init group: adopt,
+                # and mark the group once it has no holes (this access
+                # set [addr, end) already).
+                rm.adopt(left, addr, end)
+                left.state = INIT_SHARED
+                left.site = site
+                if left.count == left.hi - left.lo:
+                    if left.hi == end:
+                        bm.cover(left.lo, end, addr)
+                    else:
+                        bm.cover(left.lo, left.hi, left.hi)
+            else:
+                first = self._first_access(rm, addr, end, c, tid, vc, site)
+                self._mark_read_groups(bm, [first], addr, end)
         # Write-history check (FastTrack's write-read rule).
         raced: List[Group] = []
         wm = self._wg
-        wg0 = wm.table.get(addr)
-        if (
-            wg0 is not None
-            and wg0.lo <= addr
-            and wg0.hi >= end
-            and wg0.count == wg0.hi - wg0.lo
-        ):
-            write_segs = ((addr, end, wg0),)
-        else:
+        wg0 = wm.table.sole(addr, end)
+        if wg0 is None:
+            write_segs = ()
+        elif wg0 is MIXED:
             write_segs = wm.overlaps(addr, end)
+        else:
+            write_segs = ((addr, end, wg0),)
         for lo, hi, wg in write_segs:
             if wg is None:
                 continue
@@ -600,8 +636,8 @@ class DynamicGranularityDetector(VectorClockRuntime):
         g.state = INIT_SHARED
         g.site = site
         if mgr.kind == "r" and g.count == g.hi - g.lo:
-            # _mark_read_groups' whole-group mark after each adopt.
-            bm.set_range(g.lo, g.count)
+            # on_read's whole-group mark after each adopt.
+            bm.cover(g.lo, g.hi, g.hi)
         else:
             bm.set_range(addr, size)
         self.total_accesses += size // width

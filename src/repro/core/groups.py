@@ -253,19 +253,21 @@ class GroupManager:
             span_lo, span_hi = max(lo, g.lo), min(hi, g.hi)
             if span_hi - span_lo == g.count:
                 return g  # the split covers the whole group
-            addrs = list(range(span_lo, span_hi))
+            ng = Group(span_lo, span_hi, g.state)
+            self._copy_clock(g, ng)
+            self.table.set_range(span_lo, span_hi, ng)
         else:
             get = self.table.get
             addrs = [a for a in range(lo, hi) if get(a) is g]
             if len(addrs) == g.count:
                 # The split covers the whole group: nothing leaves.
                 return g
-        ng = Group(addrs[0], addrs[-1] + 1, g.state)
-        ng.count = len(addrs)
-        self._copy_clock(g, ng)
-        tset = self.table.set
-        for a in addrs:
-            tset(a, ng)
+            ng = Group(addrs[0], addrs[-1] + 1, g.state)
+            ng.count = len(addrs)
+            self._copy_clock(g, ng)
+            tset = self.table.set
+            for a in addrs:
+                tset(a, ng)
         g.count -= ng.count
         # Trim the old bounding range when the split was at an edge.
         if lo <= g.lo:

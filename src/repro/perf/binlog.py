@@ -7,7 +7,10 @@ magic, a fixed header, the event list as a dense ``(n, 5)`` little-endian
 sorted heap-stats table, canonical-JSON fault records).  Every field is
 written in a single canonical order, so ``encode(decode(b)) == b`` and
 the blob doubles as the trace's identity: ``Trace.digest()`` hashes it.
-The wire protocol's EVENTS payload reuses the same ``<i8`` row format.
+The wire protocol's EVENTS payload reuses the same ``<5q`` row format,
+and both pack and unpack it with one ``struct``
+(:data:`repro.server.protocol.EVENT_STRUCT`), so the codec needs only
+the standard library.
 """
 
 from __future__ import annotations
@@ -16,14 +19,13 @@ import json
 import struct
 from typing import Dict, Tuple
 
-import numpy as np
+from repro.server.protocol import EVENT_STRUCT
 
 MAGIC = b"RRBLOG1\n"
 _HEADER = struct.Struct("<5Q")  # n_events, n_threads, name, heap, faults lens
 _HEADER_OFF = len(MAGIC)
 _EVENTS_OFF = _HEADER_OFF + _HEADER.size  # 48, 8-byte aligned
-EVENT_FIELDS = 5  # (op, tid, addr, size, site)
-EVENT_RECORD_BYTES = EVENT_FIELDS * 8
+EVENT_RECORD_BYTES = EVENT_STRUCT.size  # (op, tid, addr, size, site)
 
 _HEAP_COUNT = struct.Struct("<I")
 _HEAP_KEY = struct.Struct("<I")
@@ -69,7 +71,8 @@ def _decode_heap(blob: bytes) -> Dict[str, int]:
 def encode_trace(trace) -> bytes:
     """Pack ``trace`` into the canonical binlog blob."""
     n = len(trace.events)
-    arr = np.asarray(trace.events, dtype="<i8").reshape(n, EVENT_FIELDS)
+    pack = EVENT_STRUCT.pack
+    rows = b"".join([pack(*ev) for ev in trace.events])
     name_b = trace.name.encode("utf-8")
     heap_b = _encode_heap(trace.heap_stats)
     faults_b = (
@@ -82,7 +85,7 @@ def encode_trace(trace) -> bytes:
     header = _HEADER.pack(
         n, trace.n_threads, len(name_b), len(heap_b), len(faults_b)
     )
-    return b"".join((MAGIC, header, arr.tobytes(), name_b, heap_b, faults_b))
+    return b"".join((MAGIC, header, rows, name_b, heap_b, faults_b))
 
 
 def decode_header(blob: bytes) -> Tuple[int, int, int, int, int]:
@@ -102,22 +105,14 @@ def decode_header(blob: bytes) -> Tuple[int, int, int, int, int]:
     return n, n_threads, name_len, heap_len, faults_len
 
 
-def events_view(blob: bytes) -> np.ndarray:
-    """Zero-copy read-only ``(n, 5)`` int64 view of the event matrix."""
-    n, _, _, _, _ = decode_header(blob)
-    return np.frombuffer(
-        blob, dtype="<i8", count=n * EVENT_FIELDS, offset=_EVENTS_OFF
-    ).reshape(n, EVENT_FIELDS)
-
-
 def decode_trace(blob: bytes):
     """Rebuild the :class:`Trace` a blob encodes (inverse of
     :func:`encode_trace`, byte-identical on re-encode)."""
     from repro.runtime.trace import Trace
 
     n, n_threads, name_len, heap_len, faults_len = decode_header(blob)
-    events = [tuple(row) for row in events_view(blob).tolist()]
     off = _EVENTS_OFF + n * EVENT_RECORD_BYTES
+    events = list(EVENT_STRUCT.iter_unpack(memoryview(blob)[_EVENTS_OFF:off]))
     name = bytes(blob[off : off + name_len]).decode("utf-8")
     off += name_len
     heap_stats = _decode_heap(bytes(blob[off : off + heap_len]))

@@ -24,18 +24,7 @@ Layers (see docs/ALGORITHM.md §13):
 :mod:`~repro.server.loadgen`
     Multi-tenant load generator + fault campaign; writes
     ``BENCH_server.json``.
+
+The package imports none of its submodules: import the one you need,
+so that reading the wire format (``protocol``) loads no daemon.
 """
-
-from repro.server.daemon import RaceServer, ServerConfig, ServerThread
-from repro.server.protocol import ProtocolError, ServerError
-from repro.server.tenant import RecoveryExhausted, TenantSession
-
-__all__ = [
-    "ProtocolError",
-    "RaceServer",
-    "RecoveryExhausted",
-    "ServerConfig",
-    "ServerError",
-    "ServerThread",
-    "TenantSession",
-]

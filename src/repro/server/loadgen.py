@@ -46,14 +46,13 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import os
 import shutil
 import tempfile
 import threading
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.detectors.registry import canonical_name, create_detector
 from repro.runtime.faults import (
@@ -295,18 +294,35 @@ def _misbehave(client: Detector, fault: str) -> None:
         time.sleep(_STALL_SECONDS)
 
 
+def _percentile(ordered: Sequence[float], q: float) -> float:
+    """The ``q``-th percentile of ascending ``ordered`` by linear
+    interpolation between closest ranks: numpy's default method,
+    float for float, including its interpolation from the upper rank
+    when the fraction is at least one half."""
+    last = len(ordered) - 1
+    rank = last * (q / 100)
+    if rank >= last:
+        return ordered[last]
+    i = math.floor(rank)
+    t = rank - i
+    lo, hi = ordered[i], ordered[i + 1]
+    if t >= 0.5:
+        return hi - (hi - lo) * (1 - t)
+    return lo + (hi - lo) * t
+
+
 def _latency_summary(latencies_ns: List[int]) -> Dict[str, object]:
     """p50/p99/p99.9 ingest-latency summary in milliseconds."""
     if not latencies_ns:
         return {"samples": 0}
-    lat_ms = np.asarray(latencies_ns, dtype=float) / 1e6
+    lat_ms = sorted(ns / 1e6 for ns in latencies_ns)
     return {
-        "p50": round(float(np.percentile(lat_ms, 50)), 3),
-        "p99": round(float(np.percentile(lat_ms, 99)), 3),
-        "p999": round(float(np.percentile(lat_ms, 99.9)), 3),
-        "mean": round(float(lat_ms.mean()), 3),
-        "max": round(float(lat_ms.max()), 3),
-        "samples": int(lat_ms.size),
+        "p50": round(_percentile(lat_ms, 50), 3),
+        "p99": round(_percentile(lat_ms, 99), 3),
+        "p999": round(_percentile(lat_ms, 99.9), 3),
+        "mean": round(math.fsum(lat_ms) / len(lat_ms), 3),
+        "max": round(lat_ms[-1], 3),
+        "samples": len(lat_ms),
     }
 
 

@@ -21,12 +21,15 @@ PAGE_MASK = PAGE_SIZE - 1
 class EpochBitmap:
     """A sparse bitset over byte addresses, cleared each epoch."""
 
-    __slots__ = ("_pages", "pages_touched_peak")
+    __slots__ = ("_pages", "pages_touched_peak", "_covered")
 
     def __init__(self):
         self._pages: dict = {}
         #: most pages ever live at once (drives memory accounting)
         self.pages_touched_peak = 0
+        #: ``(lo, hi)`` of the last :meth:`cover`: every bit in it is
+        #: set until the next :meth:`reset` (an empty span at first)
+        self._covered = (0, 0)
 
     def test_and_set(self, addr: int, size: int = 1) -> bool:
         """Mark ``[addr, addr+size)``; True iff *all* bits were already set
@@ -83,6 +86,25 @@ class EpochBitmap:
         if len(pages) > self.pages_touched_peak:
             self.pages_touched_peak = len(pages)
 
+    def cover(self, lo: int, hi: int, set_from: int) -> None:
+        """Mark ``[lo, hi)``, of which ``[set_from, hi)`` is already set.
+
+        Marks only the part of ``[lo, set_from)`` outside the span of
+        the previous cover since the last reset, which is set already,
+        and then remembers ``[lo, hi)``.  So a read group that grows by
+        one adopt at a time has each byte marked once per epoch, not
+        its whole extent once per adopt.  The bits end up exactly as
+        ``set_range(lo, hi - lo)`` leaves them.
+        """
+        clo, chi = self._covered
+        a = clo if clo < set_from else set_from
+        if lo < a:
+            self.set_range(lo, a - lo)
+        b = chi if chi > lo else lo
+        if b < set_from:
+            self.set_range(b, set_from - b)
+        self._covered = (lo, hi)
+
     def any_set(self, addr: int, size: int = 1) -> bool:
         """True iff *any* bit of ``[addr, addr+size)`` is set.
 
@@ -120,6 +142,7 @@ class EpochBitmap:
     def reset(self) -> None:
         """Start a new epoch: drop every bit."""
         self._pages.clear()
+        self._covered = (0, 0)
 
     # ------------------------------------------------------------------
     # checkpoint serialization

@@ -19,6 +19,10 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional, Tuple
 
+#: What :meth:`ShadowTable.sole` and :meth:`ShadowTable.left_of_gap`
+#: return when a range is not one record (or absence) throughout.
+MIXED = object()
+
 
 class ShadowTable:
     """Address-indexed shadow store with growable per-entry index arrays."""
@@ -138,6 +142,53 @@ class ShadowTable:
         i0 = lo & self._mask
         return entry[i0 : i0 + (hi - lo)]
 
+    def sole(self, lo: int, hi: int):
+        """The record every address in ``[lo, hi)`` holds: None when
+        none holds one, :data:`MIXED` when they differ (records compare
+        with ``==``, which is identity for the detectors' groups).
+
+        One slice of one entry answers an access-sized range inside a
+        byte-indexed entry; other ranges probe each address.
+        """
+        key = lo >> self._shift
+        if (hi - 1) >> self._shift == key:
+            entry = self._buckets.get(key)
+            if entry is None:
+                return None
+            if len(entry) == self.m:
+                i0 = lo & self._mask
+                cells = entry[i0 : i0 + (hi - lo)]
+                first = cells[0]
+                return first if cells.count(first) == hi - lo else MIXED
+        get = self.get
+        first = get(lo)
+        for a in range(lo + 1, hi):
+            if get(a) is not first:
+                return MIXED
+        return first
+
+    def left_of_gap(self, lo: int, hi: int):
+        """The record at ``lo - 1`` (None if absent) when no address in
+        ``[lo, hi)`` holds a record; :data:`MIXED` when one does.
+
+        One slice of one entry answers when ``[lo - 1, hi)`` lies in a
+        byte-indexed entry: the first-touch probe of an access.
+        """
+        i0 = lo & self._mask
+        key = lo >> self._shift
+        if i0 and (hi - 1) >> self._shift == key:
+            entry = self._buckets.get(key)
+            if entry is None:
+                return None
+            if len(entry) == self.m:
+                cells = entry[i0 - 1 : i0 + (hi - lo)]
+                left = cells[0]
+                empty = cells.count(None) - (left is None)
+                return left if empty == hi - lo else MIXED
+        if self.sole(lo, hi) is not None:
+            return MIXED
+        return self.get(lo - 1)
+
     # ------------------------------------------------------------------
     # sequential operations
     # ------------------------------------------------------------------
@@ -151,9 +202,20 @@ class ShadowTable:
         """
         if value is None:
             raise ValueError("use delete_range() to remove records")
+        m = self.m
+        key = lo >> self._shift
+        if (hi - 1) >> self._shift == key:
+            # The common case: a range inside one byte-indexed entry.
+            entry = self._buckets.get(key)
+            if entry is not None and len(entry) == m:
+                i0 = lo & self._mask
+                i1 = i0 + (hi - lo)
+                new_items = entry[i0:i1].count(None)
+                entry[i0:i1] = [value] * (hi - lo)
+                self.item_count += new_items
+                return new_items
         new_items = 0
         a = lo
-        m = self.m
         while a < hi:
             key = a >> self._shift
             entry_end = (key + 1) << self._shift

@@ -71,6 +71,19 @@ def test_split_out_middle():
     assert m.stats.live_clocks == 2
 
 
+def test_hole_free_split_out_writes_the_index_in_one_range(monkeypatch):
+    m = _mgr()
+    g = m.new_group(0x10, 0x90, INIT_PRIVATE)  # spans two hash entries
+    sets = []
+    monkeypatch.setattr(m.table, "set", lambda a, v: sets.append(a))
+    sg = m.split_out(g, 0x0C, 0x88)  # reaches past the group's left end
+    assert sets == []
+    assert (sg.lo, sg.hi, sg.count) == (0x10, 0x88, 0x78)
+    assert all(m.table.get(a) is sg for a in range(0x10, 0x88))
+    assert m.table.get(0x88) is g and (g.lo, g.hi, g.count) == (0x88, 0x90, 8)
+    assert len(m.table) == 0x80
+
+
 def test_split_out_full_coverage_returns_same_group():
     m = _mgr()
     g = m.new_group(0x10, 0x14, INIT_PRIVATE)

@@ -59,6 +59,37 @@ def test_digest_is_hash_of_binlog():
     assert trace.digest() == hashlib.sha256(trace.binlog()).hexdigest()
 
 
+def test_digest_loads_no_numpy():
+    """The codec packs rows with the wire's ``struct``: hashing and
+    decoding a trace in a fresh interpreter leave numpy unloaded."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys\n"
+        "from repro.runtime.trace import Trace\n"
+        "from repro.workloads.registry import build_trace\n"
+        "trace = build_trace('ffmpeg', 0.1, 0)\n"
+        "assert Trace.from_binlog(trace.binlog()).events == trace.events\n"
+        "print(trace.digest(), 'numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digest = build_trace("ffmpeg", scale=0.1, seed=0).digest()
+    assert proc.stdout.split() == [digest, "False"]
+
+
 def test_digest_distinguishes_metadata():
     events = [(1, 0, 0x100, 4, 7)]
     a = Trace(events, name="a", n_threads=2)

@@ -88,3 +88,53 @@ def test_any_set_crosses_pages():
     bm.test_and_set(PAGE_SIZE, 1)  # first byte of the second page
     assert bm.any_set(PAGE_SIZE - 8, 16)
     assert not bm.any_set(PAGE_SIZE - 8, 8)
+
+
+def _bits(bm):
+    return bm.snapshot()["pages"]
+
+
+class _Spy(EpochBitmap):
+    """Records every ``set_range`` call."""
+
+    __slots__ = ("calls",)
+
+    def set_range(self, addr, size):
+        self.calls.append((addr, size))
+        super().set_range(addr, size)
+
+
+def test_cover_marks_like_set_range_and_skips_what_it_covered():
+    bm, ref = _Spy(), EpochBitmap()
+    bm.calls = []
+    for lo, hi, set_from in ((0x100, 0x108, 0x104), (0x100, 0x110, 0x108),
+                             (0x0F8, 0x118, 0x110)):
+        bm.set_range(set_from, hi - set_from)  # the access's own bits
+        ref.set_range(lo, hi - lo)
+        bm.calls.clear()
+        bm.cover(lo, hi, set_from)
+        assert _bits(bm) == _bits(ref)
+    # The last cover reached 8 bytes below the previous one's span:
+    # only those were marked.
+    assert bm.calls == [(0x0F8, 8)]
+
+
+def test_cover_forgets_its_span_at_reset():
+    bm = EpochBitmap()
+    bm.test_and_set(0x104, 4)
+    bm.cover(0x100, 0x108, 0x104)
+    bm.reset()
+    bm.test_and_set(0x108, 4)
+    bm.cover(0x100, 0x10C, 0x108)
+    assert bm.test(0x100, 0x0C)
+
+
+def test_cover_span_is_not_snapshot_state():
+    bm = EpochBitmap()
+    bm.test_and_set(0x104, 4)
+    bm.cover(0x100, 0x108, 0x104)
+    back = EpochBitmap.from_snapshot(bm.snapshot())
+    assert back.snapshot() == bm.snapshot()
+    back.test_and_set(0x108, 4)
+    back.cover(0x0F0, 0x10C, 0x108)
+    assert back.test(0x0F0, 0x1C)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.shadow.hash_table import ShadowTable
+from repro.shadow.hash_table import MIXED, ShadowTable
 
 
 def test_set_get_roundtrip():
@@ -220,6 +220,60 @@ def test_set_range_single_aligned_byte_keeps_small_entry():
     t.set_range(0x100, 0x101, "x")  # one word-aligned byte
     assert t.slot_count == 32       # no expansion needed
     assert t.get(0x100) == "x"
+
+
+def test_sole_on_one_byte_indexed_entry():
+    t = ShadowTable(m=128)
+    t.set_range(0x104, 0x10C, "g")
+    assert t.sole(0x104, 0x10C) == "g"
+    assert t.sole(0x106, 0x108) == "g"
+    assert t.sole(0x10C, 0x110) is None
+    assert t.sole(0x100, 0x108) is MIXED  # partly held
+    t.set(0x10A, "h")
+    assert t.sole(0x108, 0x10C) is MIXED
+
+
+def test_sole_across_entries_and_on_word_entries():
+    t = ShadowTable(m=128)
+    assert t.sole(0x17E, 0x182) is None  # no entry at all
+    t.set_range(0x17C, 0x184, "g")
+    assert t.sole(0x17E, 0x182) == "g"
+    t.set(0x200, "w")  # word-indexed entry
+    assert t.sole(0x200, 0x201) == "w"
+    assert t.sole(0x201, 0x204) is None
+    assert t.sole(0x200, 0x204) is MIXED
+
+
+def test_left_of_gap_returns_the_left_record_of_an_empty_range():
+    t = ShadowTable(m=128)
+    assert t.left_of_gap(0x104, 0x108) is None  # no entry
+    t.set_range(0x100, 0x104, "g")
+    assert t.left_of_gap(0x104, 0x108) == "g"
+    assert t.left_of_gap(0x105, 0x108) is None  # a gap byte on the left
+    assert t.left_of_gap(0x0FC, 0x104) is MIXED
+    assert t.left_of_gap(0x103, 0x108) is MIXED  # holds its first byte
+    t.set(0x107, "h")
+    assert t.left_of_gap(0x104, 0x108) is MIXED  # holds its last byte
+
+
+def test_left_of_gap_at_entry_boundaries_and_on_word_entries():
+    t = ShadowTable(m=128)
+    t.set_range(0x17C, 0x180, "g")
+    assert t.left_of_gap(0x180, 0x184) == "g"  # left byte in the last entry
+    assert t.left_of_gap(0x17E, 0x182) is MIXED  # crosses, partly held
+    t.set(0x200, "w")  # word-indexed entry
+    assert t.left_of_gap(0x201, 0x202) == "w"
+    assert t.left_of_gap(0x204, 0x208) is None
+    assert t.left_of_gap(0x1FE, 0x202) is MIXED
+    assert t.left_of_gap(0, 4) is None
+
+
+def test_set_range_counts_new_items_inside_one_entry():
+    t = ShadowTable(m=128)
+    t.set_range(0x100, 0x110, "a")
+    assert t.set_range(0x108, 0x118, "b") == 8
+    assert len(t) == 0x18
+    assert t.get(0x107) == "a" and t.get(0x108) == "b"
 
 
 class _Rec:
